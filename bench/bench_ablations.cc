@@ -96,11 +96,8 @@ int main(int argc, char** argv) {
       args.Apply(cfg);
       apps::AppRun run = apps::RunQuadratureDf(q, cfg);
       DFIL_CHECK(run.report.completed) << run.report.deadlock_report;
-      uint64_t pruned = 0, local = 0;
-      for (const auto& nr : run.report.nodes) {
-        pruned += nr.filaments.forks_pruned;
-        local += nr.filaments.forks_local;
-      }
+      const FilamentStats f = run.report.TotalFilaments();
+      const uint64_t pruned = f.forks_pruned, local = f.forks_local;
       std::printf("prune threshold %3d: %8.2f s  (%llu forks pruned to calls, %llu queued)\n",
                   threshold, run.seconds(), static_cast<unsigned long long>(pruned),
                   static_cast<unsigned long long>(local));
@@ -132,11 +129,8 @@ int main(int argc, char** argv) {
       args.Apply(cfg);
       apps::AppRun run = apps::RunJacobiDf(p, cfg);
       DFIL_CHECK(run.report.completed) << run.report.deadlock_report;
-      uint64_t deferrals = 0, faults = 0;
-      for (const auto& nr : run.report.nodes) {
-        deferrals += nr.dsm.mirage_deferrals;
-        faults += nr.dsm.read_faults + nr.dsm.write_faults;
-      }
+      const DsmStats d = run.report.TotalDsm();
+      const uint64_t deferrals = d.mirage_deferrals, faults = d.read_faults + d.write_faults;
       std::printf("window %5.1f ms: %8.2f s  (%llu deferrals, %llu faults)\n", window_ms,
                   run.seconds(), static_cast<unsigned long long>(deferrals),
                   static_cast<unsigned long long>(faults));

@@ -43,17 +43,12 @@ int main(int argc, char** argv) {
     rows.push_back(bench::SpeedupRow{nodes, cg.seconds(), df.seconds(), paper_cg[i] * scale,
                                      paper_df[i] * scale, seq.seconds(), 215.0 * scale});
     if (nodes == 8) {
-      uint64_t impl = 0, inv_msgs = 0, rf = 0;
-      for (const auto& nr : df.report.nodes) {
-        impl += nr.dsm.implicit_invalidations;
-        inv_msgs += nr.dsm.invalidations_sent;
-        rf += nr.dsm.read_faults;
-      }
+      const DsmStats d = df.report.TotalDsm();
       std::printf("notes (8 nodes, DF): implicit invalidations %llu, invalidation MESSAGES %llu "
                   "(implicit-invalidate sends none), read faults %llu\n",
-                  static_cast<unsigned long long>(impl),
-                  static_cast<unsigned long long>(inv_msgs),
-                  static_cast<unsigned long long>(rf));
+                  static_cast<unsigned long long>(d.implicit_invalidations),
+                  static_cast<unsigned long long>(d.invalidations_sent),
+                  static_cast<unsigned long long>(d.read_faults));
       bench::EmitMetrics(df.report, "jacobi_df8", &args, "jacobi");
     }
   }

@@ -138,13 +138,6 @@ int main(int argc, char** argv) {
   // pinned by bench/baselines/coalesce_gate.json; the asserts keep the headline claim honest:
   // at least 30% fewer UDP datagrams at no virtual-time cost.
   bench::Header("Coalescing ablation: jacobi_ii8 with per-destination frame coalescing");
-  auto total_datagrams = [](const core::RunReport& r) {
-    uint64_t total = 0;
-    for (const auto& nr : r.nodes) {
-      total += nr.packet.datagrams_sent;
-    }
-    return total;
-  };
   apps::JacobiParams cp = base_params;
   cp.iterations = 120;
   core::ClusterConfig plain_cfg = bench::PaperConfig(8);
@@ -156,8 +149,8 @@ int main(int argc, char** argv) {
   co_cfg.coalesce.enabled = true;
   apps::AppRun co = apps::RunJacobiDf(cp, co_cfg);
   DFIL_CHECK(co.report.completed) << co.report.deadlock_report;
-  const uint64_t plain_dgrams = total_datagrams(plain.report);
-  const uint64_t co_dgrams = total_datagrams(co.report);
+  const uint64_t plain_dgrams = plain.report.TotalPacket().datagrams_sent;
+  const uint64_t co_dgrams = co.report.TotalPacket().datagrams_sent;
   std::printf("jacobi_ii8_co: %llu datagrams (plain: %llu, %+.1f%%), %.1fs (plain: %.1fs)\n",
               static_cast<unsigned long long>(co_dgrams),
               static_cast<unsigned long long>(plain_dgrams),

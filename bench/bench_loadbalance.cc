@@ -131,14 +131,6 @@ uint64_t SumCounter(const RunReport& report, const std::string& name) {
   return total;
 }
 
-uint64_t SumPagesRehomed(const RunReport& report) {
-  uint64_t total = 0;
-  for (const auto& nr : report.nodes) {
-    total += nr.dsm.pages_rehomed;
-  }
-  return total;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,7 +155,7 @@ int main(int argc, char** argv) {
 
   const uint64_t plans = SumCounter(bal.report, "core.rebalance_plans");
   const uint64_t migrated = SumCounter(bal.report, "core.filaments_migrated");
-  const uint64_t rehomed = SumPagesRehomed(bal.report);
+  const uint64_t rehomed = bal.report.TotalDsm().pages_rehomed;
   const double win =
       100.0 * (stat.report.seconds() - bal.report.seconds()) / stat.report.seconds();
   std::printf("  static   : makespan %7.3f s\n", stat.report.seconds());

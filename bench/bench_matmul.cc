@@ -42,10 +42,7 @@ int main(int argc, char** argv) {
                                      seq.seconds(), 205.0});
     if (nodes == 8) {
       // The two §4.1 notes: page-request volume and medium saturation.
-      uint64_t served = 0;
-      for (const auto& nr : df.report.nodes) {
-        served += nr.dsm.page_requests_served;
-      }
+      const uint64_t served = df.report.TotalDsm().page_requests_served;
       std::printf("notes (8 nodes, DF): page requests served %llu (paper: 4032 for 512x512); "
                   "medium busy %.1f s of %.1f s makespan\n",
                   static_cast<unsigned long long>(served), ToSeconds(df.report.medium_busy),

@@ -5,6 +5,8 @@
 #include <set>
 
 #include "bench/bench_util.h"
+#include "src/common/metrics.h"
+#include "src/common/trace.h"
 #include "src/net/packet.h"
 #include "src/sim/machine.h"
 
@@ -42,13 +44,13 @@ class ScriptedNetwork : public sim::NetworkModel {
   int next_frame_ = 0;
 };
 
-// Host that only runs Packet handlers (no server threads): enough to exercise the protocol.
-class MiniHost : public sim::NodeHost {
+// Host that only runs Packet handlers (no server threads): enough to exercise the protocol. It
+// serves as the machine's NodeHost and its endpoint's NodeUpcalls; the DSM-only upcalls are never
+// made.
+class MiniHost final : public sim::NodeHost, public NodeUpcalls {
  public:
-  MiniHost(NodeId id, sim::Machine* machine) : id_(id) {
-    endpoint = std::make_unique<net::PacketEndpoint>(
-        machine, id, net::PacketConfig{}, [this](TimeCategory, SimTime t) { clock_ += t; },
-        [this] { return clock_; });
+  MiniHost(NodeId id, sim::Machine* machine) : id_(id), tracer_(id, this) {
+    endpoint = std::make_unique<net::PacketEndpoint>(machine, id, net::PacketConfig{}, this);
   }
   NodeId id() const override { return id_; }
   SimTime Clock() const override { return clock_; }
@@ -59,11 +61,25 @@ class MiniHost : public sim::NodeHost {
   void OnDatagram(sim::Datagram d) override { endpoint->OnDatagram(std::move(d)); }
   std::string DescribeBlocked() const override { return ""; }
 
+  void Charge(TimeCategory, SimTime t) override { clock_ += t; }
+  threads::ServerThread* CurrentThread() override { return nullptr; }
+  uint64_t CurrentTid() override { return 0; }
+  void BeforePageBlock(PageId) override {}
+  void BlockCurrent() override {}
+  void Wake(threads::ServerThread*) override {}
+  void OnFetchesDrained() override {}
+  bool InCriticalSection() const override { return false; }
+  NodeTracer& tracer() override { return tracer_; }
+  MetricsRegistry& metrics() override { return metrics_; }
+  void RecordWait(WaitKind, uint64_t, SimTime, SimTime) override {}
+
   std::unique_ptr<net::PacketEndpoint> endpoint;
 
  private:
   NodeId id_;
   SimTime clock_ = 0;
+  NodeTracer tracer_;
+  MetricsRegistry metrics_;
 };
 
 bench::JsonReport* g_report = nullptr;

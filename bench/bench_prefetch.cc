@@ -64,13 +64,9 @@ int main(int argc, char** argv) {
         apps::AppRun df = apps::RunJacobiDf(p, cfg);
         DFIL_CHECK(df.report.completed) << df.report.deadlock_report;
         DFIL_CHECK_EQ(df.checksum, seq.checksum);
-        uint64_t single = 0, bulk = 0, prefetched = 0, wasted = 0;
-        for (const auto& nr : df.report.nodes) {
-          single += nr.dsm.single_page_requests;
-          bulk += nr.dsm.bulk_requests;
-          prefetched += nr.dsm.prefetched_pages;
-          wasted += nr.dsm.prefetch_wasted;
-        }
+        const DsmStats d = df.report.TotalDsm();
+        const uint64_t single = d.single_page_requests, bulk = d.bulk_requests;
+        const uint64_t prefetched = d.prefetched_pages, wasted = d.prefetch_wasted;
         const double msgs = static_cast<double>(single + bulk);
         if (!m.detector && !m.hints) {
           off_msgs = msgs;

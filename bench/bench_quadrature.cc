@@ -49,19 +49,13 @@ int main(int argc, char** argv) {
                                      paper_df[i] * ratio, seq.seconds(), 203.0 * ratio});
     std::printf("%-6d | %12.1f\n", nodes, bag.seconds());
     if (nodes == 8) {
-      uint64_t attempts = 0, ok = 0, denied = 0, shipped = 0;
-      for (const auto& nr : df.report.nodes) {
-        attempts += nr.filaments.steals_attempted;
-        ok += nr.filaments.steals_succeeded;
-        denied += nr.filaments.steals_denied;
-        shipped += nr.filaments.forks_sent;
-      }
+      const FilamentStats f = df.report.TotalFilaments();
       std::printf("notes (8 nodes, DF): tree-shipped forks %llu, steal attempts %llu "
                   "(%llu succeeded, %llu denied — most denials, as in the paper)\n",
-                  static_cast<unsigned long long>(shipped),
-                  static_cast<unsigned long long>(attempts),
-                  static_cast<unsigned long long>(ok),
-                  static_cast<unsigned long long>(denied));
+                  static_cast<unsigned long long>(f.forks_sent),
+                  static_cast<unsigned long long>(f.steals_attempted),
+                  static_cast<unsigned long long>(f.steals_succeeded),
+                  static_cast<unsigned long long>(f.steals_denied));
       bench::EmitMetrics(df.report, "quadrature_df8", &args, "quadrature");
     }
   }

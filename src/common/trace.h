@@ -16,7 +16,6 @@
 #define DFIL_COMMON_TRACE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/common/upcalls.h"
 
 namespace dfil {
 
@@ -76,38 +76,32 @@ class TraceRecorder {
   size_t unmatched_ends_ = 0;
 };
 
-// Per-node tracing facade: binds one node's identity (id, current server thread, virtual clock)
-// to the shared TraceRecorder so lower layers (net, dsm) can trace without depending on the
-// runtime. Also owns the node's *causal trace context*: the 64-bit trace id stamped on every
-// outgoing packet. The recorder may be null (tracing off) — spans and events become no-ops, but
-// trace ids are still allocated and propagated, so the wire format and the message schedule are
-// identical with tracing on and off.
+// Per-node tracing facade: binds one node's identity (id; current server thread and virtual
+// clock through its NodeUpcalls) to the shared TraceRecorder so lower layers (net, dsm) can trace
+// without depending on the runtime. Also owns the node's *causal trace context*: the 64-bit trace
+// id stamped on every outgoing packet. The recorder may be null (tracing off) — spans and events
+// become no-ops, but trace ids are still allocated and propagated, so the wire format and the
+// message schedule are identical with tracing on and off.
 class NodeTracer {
  public:
-  using TidFn = std::function<uint64_t()>;
-  using ClockFn = std::function<SimTime()>;
+  NodeTracer(NodeId node, NodeUpcalls* host) : node_(node), host_(host) {}
 
-  void BindNode(NodeId node, TidFn tid, ClockFn clock) {
-    node_ = node;
-    tid_ = std::move(tid);
-    clock_ = std::move(clock);
-  }
   void SetRecorder(TraceRecorder* recorder) { rec_ = recorder; }
   bool enabled() const { return rec_ != nullptr; }
 
   void Begin(const char* category, std::string name) {
     if (rec_ != nullptr) {
-      rec_->Begin(node_, tid_(), category, std::move(name), clock_());
+      rec_->Begin(node_, host_->CurrentTid(), category, std::move(name), host_->Clock());
     }
   }
   void End() {
     if (rec_ != nullptr) {
-      rec_->End(node_, tid_(), clock_());
+      rec_->End(node_, host_->CurrentTid(), host_->Clock());
     }
   }
   void Instant(const char* category, std::string name) {
     if (rec_ != nullptr) {
-      rec_->Instant(node_, tid_(), category, std::move(name), clock_());
+      rec_->Instant(node_, host_->CurrentTid(), category, std::move(name), host_->Clock());
     }
   }
   // A point event on an explicit tid track instead of the current server thread's — decision
@@ -115,12 +109,13 @@ class NodeTracer {
   // adapter's `adapt` track, which group per node in the trace viewer.
   void InstantOnTrack(uint64_t tid, const char* category, std::string name) {
     if (rec_ != nullptr) {
-      rec_->Instant(node_, tid, category, std::move(name), clock_());
+      rec_->Instant(node_, tid, category, std::move(name), host_->Clock());
     }
   }
   void Flow(char phase, const char* category, std::string name, uint64_t flow_id) {
     if (rec_ != nullptr && flow_id != 0) {
-      rec_->Flow(node_, tid_(), phase, category, std::move(name), clock_(), flow_id);
+      rec_->Flow(node_, host_->CurrentTid(), phase, category, std::move(name), host_->Clock(),
+                 flow_id);
     }
   }
 
@@ -140,9 +135,8 @@ class NodeTracer {
 
  private:
   TraceRecorder* rec_ = nullptr;
-  NodeId node_ = 0;
-  TidFn tid_;
-  ClockFn clock_;
+  NodeId node_;
+  NodeUpcalls* host_;
   uint64_t next_id_ = 0;
   uint64_t current_ = 0;
 };

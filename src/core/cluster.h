@@ -79,6 +79,20 @@ struct RunReport {
   std::shared_ptr<TraceRecorder> trace;
 
   double seconds() const { return ToSeconds(makespan); }
+
+  // Cluster-wide sums of the per-node counter tables (their generated operator+=).
+  DsmStats TotalDsm() const { return Total(&NodeReport::dsm); }
+  net::PacketStats TotalPacket() const { return Total(&NodeReport::packet); }
+  FilamentStats TotalFilaments() const { return Total(&NodeReport::filaments); }
+
+  template <typename Stats>
+  Stats Total(Stats NodeReport::*member) const {
+    Stats total;
+    for (const NodeReport& nr : nodes) {
+      total += nr.*member;
+    }
+    return total;
+  }
 };
 
 class Cluster {

@@ -67,9 +67,6 @@ bool InUnitInterval(double v) { return v >= 0.0 && v <= 1.0; }
 
 sim::FaultPlan ClusterConfig::EffectiveFaultPlan() const {
   sim::FaultPlan plan = fault_plan;
-  if (plan.loss_rate == 0.0) {
-    plan.loss_rate = loss_rate;  // deprecated alias, kept one release
-  }
   if (plan.seed == 0) {
     plan.seed = seed ^ 0x9E3779B97F4A7C15ULL;  // derived, so `seed` alone replays the run
   }
@@ -214,11 +211,6 @@ std::vector<std::string> ClusterConfig::Validate() const {
   if (!InUnitInterval(plan.loss_rate)) {
     reject("fault plan loss_rate must be a probability in [0, 1] (got " +
            std::to_string(plan.loss_rate) + ")");
-  }
-  if (fault_plan.loss_rate != 0.0 && loss_rate != 0.0 &&
-      fault_plan.loss_rate != loss_rate) {
-    reject("loss_rate (deprecated) and fault_plan.loss_rate disagree; set only "
-           "fault_plan.loss_rate");
   }
   if (PlanCanDropFrames(plan) && !reliable_broadcast) {
     reject("reliable_broadcast is required when the fault plan can drop frames: a lost done "

@@ -39,15 +39,12 @@ struct ClusterConfig {
   int nodes = 8;
   sim::CostModel costs = sim::CostModel::SunIpcEthernet();
   NetworkKind network = NetworkKind::kSharedEthernet;
-  // DEPRECATED: shorthand for fault_plan.loss_rate, folded by EffectiveFaultPlan(). Kept one
-  // release for existing callers; set fault_plan.loss_rate directly.
-  double loss_rate = 0.0;
   uint64_t seed = 1;
 
   // Adversarial fault injection (drops, duplicates, delays, burst loss, node stalls) — the
   // single source of truth for network misbehaviour. The plan's seed defaults to a value derived
   // from this config's seed when left at 0, so (config, seed) alone replays a run. Read it
-  // through EffectiveFaultPlan(), which also folds the deprecated loss_rate alias above.
+  // through EffectiveFaultPlan().
   sim::FaultPlan fault_plan;
 
   // When set, every DsmNode attaches to this oracle and the barrier champion sweeps it at each
@@ -112,9 +109,8 @@ struct ClusterConfig {
   // Runaway guard for the virtual clock.
   SimTime max_virtual_time = Seconds(100000.0);
 
-  // The fault plan with the deprecated loss_rate alias folded in and the seed defaulted from
-  // the run seed. Everything that injects faults (Cluster::Run, Validate) reads this, never the
-  // raw fields, so the two knobs cannot disagree.
+  // The fault plan with its seed defaulted from the run seed. Everything that injects faults
+  // (Cluster::Run, Validate) reads this, never the raw field.
   sim::FaultPlan EffectiveFaultPlan() const;
 
   // Checks the configuration for contradictions and out-of-range knobs; returns one

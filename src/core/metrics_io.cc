@@ -9,87 +9,25 @@
 namespace dfil::core {
 namespace {
 
+// Every counter of a stats struct's table becomes the "<layer>.<name>" counter of `m`.
+template <typename Stats>
+void SetCounters(MetricsRegistry& m, const Stats& stats) {
+  stats.ForEachCounter([&m](const char* name, uint64_t value) {
+    m.Set(std::string(Stats::kLayer) + "." + name, value);
+  });
+}
+
 // Every stats-struct field becomes a "<layer>.<name>" counter in one per-node registry, so the
 // JSON (and everything downstream: dfil_report, the CI gate) sees a single uniform namespace.
 MetricsRegistry FlattenNode(const NodeReport& nr) {
   MetricsRegistry m = nr.metrics;  // live histograms + runtime counters first
-
-  const DsmStats& d = nr.dsm;
-  m.Set("dsm.read_faults", d.read_faults);
-  m.Set("dsm.write_faults", d.write_faults);
-  m.Set("dsm.page_requests_served", d.page_requests_served);
-  m.Set("dsm.invalidations_sent", d.invalidations_sent);
-  m.Set("dsm.invalidations_received", d.invalidations_received);
-  m.Set("dsm.implicit_invalidations", d.implicit_invalidations);
-  m.Set("dsm.page_forwards", d.page_forwards);
-  m.Set("dsm.mirage_deferrals", d.mirage_deferrals);
-  m.Set("dsm.fetch_deferrals", d.fetch_deferrals);
-  m.Set("dsm.use_deferrals", d.use_deferrals);
-  m.Set("dsm.single_page_requests", d.single_page_requests);
-  m.Set("dsm.bulk_requests", d.bulk_requests);
-  m.Set("dsm.bulk_pages_requested", d.bulk_pages_requested);
-  m.Set("dsm.bulk_pages_served", d.bulk_pages_served);
-  m.Set("dsm.bulk_misses", d.bulk_misses);
-  m.Set("dsm.prefetched_pages", d.prefetched_pages);
-  m.Set("dsm.prefetch_wasted", d.prefetch_wasted);
-  m.Set("dsm.grant_reserves", d.grant_reserves);
-  m.Set("dsm.stale_invalidations_ignored", d.stale_invalidations_ignored);
-  m.Set("dsm.stale_transfer_dups_ignored", d.stale_transfer_dups_ignored);
-  m.Set("dsm.discarded_installs", d.discarded_installs);
-  m.Set("dsm.diff_twins_created", d.diff_twins_created);
-  m.Set("dsm.diff_merges_sent", d.diff_merges_sent);
-  m.Set("dsm.diff_pages_flushed", d.diff_pages_flushed);
-  m.Set("dsm.diff_bytes_sent", d.diff_bytes_sent);
-  m.Set("dsm.diff_merges_applied", d.diff_merges_applied);
-  m.Set("dsm.diff_pages_merged", d.diff_pages_merged);
-  m.Set("dsm.diff_stale_merges_ignored", d.diff_stale_merges_ignored);
-  m.Set("dsm.diff_bulk_refetches", d.diff_bulk_refetches);
-  m.Set("dsm.adapter_switches_to_diff", d.adapter_switches_to_diff);
-  m.Set("dsm.adapter_switches_to_ii", d.adapter_switches_to_ii);
-  m.Set("dsm.pages_rehomed", d.pages_rehomed);
-  m.Set("dsm.rehome_requests", d.rehome_requests);
-  m.Set("dsm.rehome_pages_requested", d.rehome_pages_requested);
-  m.Set("dsm.rehome_pages_served", d.rehome_pages_served);
-  m.Set("dsm.rehome_misses", d.rehome_misses);
-  m.Set("dsm.rehome_misses_served", d.rehome_misses_served);
-  m.Set("dsm.page_data_bytes", d.page_data_bytes);
-  m.Set("dsm.page_request_messages", d.page_request_messages());
-
-  const net::PacketStats& p = nr.packet;
-  m.Set("net.requests_sent", p.requests_sent);
-  m.Set("net.replies_sent", p.replies_sent);
-  m.Set("net.acks_sent", p.acks_sent);
-  m.Set("net.reply_retransmissions", p.reply_retransmissions);
-  m.Set("net.retransmissions", p.retransmissions);
-  m.Set("net.duplicate_requests", p.duplicate_requests);
-  m.Set("net.duplicate_replies", p.duplicate_replies);
-  m.Set("net.deferred_requests", p.deferred_requests);
-  m.Set("net.raw_sent", p.raw_sent);
-  m.Set("net.replies_first_serve", p.replies_first_serve);
-  m.Set("net.replies_rebuilt", p.replies_rebuilt);
-  m.Set("net.datagrams_sent", p.datagrams_sent);
-  m.Set("net.wire_bytes", p.wire_bytes);
-  m.Set("net.frames_coalesced", p.frames_coalesced);
-  m.Set("net.replies_elided", p.replies_elided);
-  m.Set("net.requests_canceled", p.requests_canceled);
+  SetCounters(m, nr.dsm);
+  m.Set("dsm.page_request_messages", nr.dsm.page_request_messages());
+  SetCounters(m, nr.packet);
   for (const auto& [svc, count] : nr.sent_by_service) {
     m.Set(std::string("net.sent.") + net::ServiceName(static_cast<net::Service>(svc)), count);
   }
-
-  const FilamentStats& f = nr.filaments;
-  m.Set("fil.filaments_created", f.filaments_created);
-  m.Set("fil.filaments_run", f.filaments_run);
-  m.Set("fil.filaments_run_inlined", f.filaments_run_inlined);
-  m.Set("fil.forks_local", f.forks_local);
-  m.Set("fil.forks_pruned", f.forks_pruned);
-  m.Set("fil.forks_sent", f.forks_sent);
-  m.Set("fil.steals_attempted", f.steals_attempted);
-  m.Set("fil.steals_succeeded", f.steals_succeeded);
-  m.Set("fil.steals_denied", f.steals_denied);
-  m.Set("fil.steals_attempted_on_us", f.steals_attempted_on_us);
-  m.Set("fil.pool_suspensions", f.pool_suspensions);
-  m.Set("fil.server_threads_started", f.server_threads_started);
-
+  SetCounters(m, nr.filaments);
   return m;
 }
 

@@ -88,57 +88,13 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
       config_(config),
       machine_(machine),
       threads_(config.backend, config.stack_bytes),
-      env_(this) {
-  tracer_.BindNode(id_, [this] { return CurrentTid(); }, [this] { return clock_; });
-  packet_ = std::make_unique<net::PacketEndpoint>(
-      machine_, id_, config_.packet,
-      [this](TimeCategory c, SimTime t) { Charge(c, t); }, [this] { return clock_; });
-  packet_->in_critical_section = [this] { return in_critical_; };
-  packet_->set_tracer(&tracer_);
-  packet_->set_metrics(&metrics_);
+      env_(this),
+      tracer_(id, this) {
+  packet_ = std::make_unique<net::PacketEndpoint>(machine_, id_, config_.packet, this);
   packet_->set_coalesce(config_.coalesce);
   ws_on_ = config_.waitstate_enabled;
-  if (ws_on_) {
-    packet_->set_waitstate(&waitstate_);
-  }
   pp_on_ = config_.pool_profile_enabled;
 
-  dsm::DsmNode::Hooks hooks;
-  hooks.charge = [this](TimeCategory c, SimTime t) { Charge(c, t); };
-  hooks.clock = [this] { return clock_; };
-  hooks.current_thread = [this] { return threads_.current(); };
-  hooks.wake = [this](threads::ServerThread* t) { Wake(t); };
-  hooks.pre_block = [this](PageId page) {
-    // Let the engines react (start a server thread for another pool / another fj worker) before
-    // the faulting thread gives up the processor.
-    if (pools_) {
-      pools_->OnThreadBlockedOnPage(page);
-    }
-    if (fj_) {
-      fj_->OnWorkerBlocked();
-    }
-  };
-  hooks.block_current = [this] { BlockCurrent(); };
-  hooks.trace_fault_begin = [this](PageId page) {
-    TraceBegin("dsm", "fault p" + std::to_string(page));
-    fault_wait_start_[CurrentTid()] = clock_;
-  };
-  hooks.trace_fault_end = [this] {
-    TraceEnd();
-    auto it = fault_wait_start_.find(CurrentTid());
-    if (it != fault_wait_start_.end()) {
-      metrics_.Hist("dsm.fault_wait_us").Record(ToMicroseconds(clock_ - it->second));
-      fault_wait_start_.erase(it);
-    }
-  };
-  hooks.tracer = &tracer_;
-  hooks.fetches_drained = [this] {
-    if (drain_waiter_ != nullptr) {
-      threads::ServerThread* t = drain_waiter_;
-      drain_waiter_ = nullptr;
-      WakeAtTail(t);
-    }
-  };
   dsm::DsmConfig dsm_cfg = config_.dsm;
   if (config_.coalesce.enabled && config_.coalesce.sync_batch) {
     // Sync-batch mode: the DSM learns this node's barrier parent so the diff protocol can gate
@@ -159,7 +115,7 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
     }
   }
   dsm_ = std::make_unique<dsm::DsmNode>(id_, layout, packet_.get(), &machine_->costs(),
-                                        dsm_cfg, std::move(hooks));
+                                        dsm_cfg, this);
 #ifndef DFIL_DISABLE_COHERENCE_ORACLE
   if (config_.coherence_oracle != nullptr) {
     dsm_->AttachOracle(config_.coherence_oracle);
@@ -310,6 +266,23 @@ void NodeRuntime::Wake(threads::ServerThread* t) {
   if (config_.wake_at_front) {
     WakeAtFront(t);
   } else {
+    WakeAtTail(t);
+  }
+}
+
+void NodeRuntime::BeforePageBlock(PageId page) {
+  if (pools_) {
+    pools_->OnThreadBlockedOnPage(page);
+  }
+  if (fj_) {
+    fj_->OnWorkerBlocked();
+  }
+}
+
+void NodeRuntime::OnFetchesDrained() {
+  if (drain_waiter_ != nullptr) {
+    threads::ServerThread* t = drain_waiter_;
+    drain_waiter_ = nullptr;
     WakeAtTail(t);
   }
 }

@@ -1,9 +1,10 @@
 // NodeRuntime: one simulated workstation running the Distributed Filaments kernel.
 //
-// Implements sim::NodeHost. Owns the node's server threads and their (non-preemptive, SR-style)
-// scheduler, the Packet endpoint, the DSM node, the pool engine (RTC/iterative filaments), the
-// fork/join engine, the tournament-reduction engine, and the explicit-message channels used by
-// the coarse-grain comparison programs.
+// Implements sim::NodeHost (what the machine asks of a node) and NodeUpcalls (what the node's
+// Packet endpoint, DSM and tracer ask of the runtime). Owns the node's server threads and their
+// (non-preemptive, SR-style) scheduler, the Packet endpoint, the DSM node, the pool engine
+// (RTC/iterative filaments), the fork/join engine, the tournament-reduction engine, and the
+// explicit-message channels used by the coarse-grain comparison programs.
 //
 // Scheduling contract: the Machine resumes this node via Step(), which switches into a server
 // thread; the thread gives the processor back when it blocks, finishes, or — mid-charge — when a
@@ -29,6 +30,7 @@
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
+#include "src/common/upcalls.h"
 #include "src/common/waitstate.h"
 #include "src/core/config.h"
 #include "src/core/node_env.h"
@@ -42,7 +44,7 @@ namespace dfil::core {
 class PoolEngine;
 class FjEngine;
 
-class NodeRuntime final : public sim::NodeHost {
+class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
  public:
   NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
               const dsm::GlobalLayout* layout);
@@ -51,7 +53,7 @@ class NodeRuntime final : public sim::NodeHost {
   // Installs the node's main program; it runs as the first server thread.
   void SetMain(std::function<void()> body);
 
-  // --- sim::NodeHost ---
+  // --- sim::NodeHost (Clock() also serves NodeUpcalls) ---
   NodeId id() const override { return id_; }
   SimTime Clock() const override { return clock_; }
   bool Runnable() const override { return resume_first_ != nullptr || !ready_.empty(); }
@@ -65,20 +67,28 @@ class NodeRuntime final : public sim::NodeHost {
   // Advances this node's clock by `cost`, attributing it to `category`. When called from a server
   // thread, yields to the machine whenever an external event falls due mid-charge, so message
   // handlers interrupt computation at exact virtual times.
-  void Charge(TimeCategory category, SimTime cost);
+  void Charge(TimeCategory category, SimTime cost) override;
 
-  // --- Scheduling primitives (used by the engines and by DSM/packet hooks) ---
+  // --- Scheduling primitives (used by the engines and by the DSM) ---
   // Suspends the current server thread; the caller has already recorded it on some wait queue and
   // set its state/block reason. Returns when the thread is woken.
-  void BlockCurrent();
+  void BlockCurrent() override;
   // Makes `t` runnable. Placement defaults to the configured wake policy (front = fork/join
   // anti-thrashing; tail = iterative frontloading).
-  void Wake(threads::ServerThread* t);
+  void Wake(threads::ServerThread* t) override;
   void WakeAtFront(threads::ServerThread* t);
   void WakeAtTail(threads::ServerThread* t);
   // Creates a server thread running `body` and enqueues it (charges creation cost).
   threads::ServerThread* SpawnThread(std::function<void()> body);
-  threads::ServerThread* CurrentThread() { return threads_.current(); }
+  threads::ServerThread* CurrentThread() override { return threads_.current(); }
+  uint64_t CurrentTid() override {
+    threads::ServerThread* t = threads_.current();
+    return t != nullptr ? t->id() : 0;
+  }
+  // Lets the engines start a replacement server thread before a faulting thread blocks.
+  void BeforePageBlock(PageId page) override;
+  // Wakes the thread waiting in WaitForFetchDrain, if any.
+  void OnFetchesDrained() override;
 
   // Sends a reliable request and blocks the calling server thread until the reply arrives.
   net::Payload CallService(NodeId dst, net::Service service, net::Payload body,
@@ -99,6 +109,7 @@ class NodeRuntime final : public sim::NodeHost {
   // --- Critical sections ---
   void EnterCritical() { in_critical_ = true; }
   void ExitCritical() { in_critical_ = false; }
+  bool InCriticalSection() const override { return in_critical_; }
 
   // --- Tracing (no-ops unless ClusterConfig::trace_enabled) ---
   void SetTrace(TraceRecorder* trace) { tracer_.SetRecorder(trace); }
@@ -110,13 +121,18 @@ class NodeRuntime final : public sim::NodeHost {
     tracer_.Instant(category, std::move(name));
   }
   // The node's causal tracer (trace-id context + span emission), shared with packet_ and dsm_.
-  NodeTracer& tracer() { return tracer_; }
+  NodeTracer& tracer() override { return tracer_; }
   // Live histograms and runtime counters; flattened with the stats structs by metrics_io.
-  MetricsRegistry& metrics() { return metrics_; }
+  MetricsRegistry& metrics() override { return metrics_; }
 
   // Wait-state ledgers and the flight-recorder ring (common/waitstate.h). Only meaningful when
   // ClusterConfig::waitstate_enabled; the recorder stays zeroed otherwise.
   const WaitStateRecorder& waitstate() const { return waitstate_; }
+  void RecordWait(WaitKind kind, uint64_t detail, SimTime from, SimTime to) override {
+    if (ws_on_) {
+      waitstate_.Record(kind, detail, from, to);
+    }
+  }
   // Folds the still-unclassified trailing scheduler gap into the idle wait ledger, making
   // run + serve + wait equal the final clock exactly. Called once by Cluster::Run at the end.
   void FinalizeWaitstate();
@@ -224,17 +240,8 @@ class NodeRuntime final : public sim::NodeHost {
   std::map<std::pair<NodeId, uint32_t>, Channel> channels_;
   threads::ServerThread* any_channel_waiter_ = nullptr;
 
-  uint64_t CurrentTid() {
-    threads::ServerThread* t = threads_.current();
-    return t != nullptr ? t->id() : 0;
-  }
-
   NodeTracer tracer_;
   MetricsRegistry metrics_;
-  // Per-thread fault-block start time (faults never nest within one server thread); feeds the
-  // dsm.fault_wait_us histogram. Page-fault *wait records* come from the wake path, which parses
-  // the page id out of the thread's block reason.
-  std::map<uint64_t, SimTime> fault_wait_start_;
   TimeBreakdown breakdown_;
   FilamentStats fil_stats_;
 

@@ -36,7 +36,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -45,6 +44,7 @@
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
+#include "src/common/upcalls.h"
 #include "src/dsm/layout.h"
 #include "src/net/packet.h"
 #include "src/threads/server_thread.h"
@@ -143,34 +143,10 @@ struct PageEntry {
 
 class DsmNode {
  public:
-  struct Hooks {
-    // Charges CPU time to this node's virtual clock.
-    std::function<void(TimeCategory, SimTime)> charge;
-    // Reads this node's virtual clock (for the Mirage hold window).
-    std::function<SimTime()> clock;
-    // Notifies the runtime that the current thread is about to suspend on `page` (the pool/fj
-    // engines start replacement server threads here). May charge time and yield; the fetch may
-    // even complete during it, which FaultAndWait re-checks.
-    std::function<void(PageId)> pre_block;
-    // Suspends the calling server thread (already enqueued on the page's waiter list, state set).
-    // Returns when the thread is woken. Runs on a server-thread context. Must not charge.
-    std::function<void()> block_current;
-    // Makes `t` runnable again (ready-queue placement policy is the runtime's).
-    std::function<void(threads::ServerThread*)> wake;
-    // The server thread currently executing on this node.
-    std::function<threads::ServerThread*()> current_thread;
-    // Invoked when the last outstanding fetch completes (synchronization points wait on this).
-    std::function<void()> fetches_drained;
-    // Optional tracing of the blocked interval of a fault (from suspension to wake-up).
-    std::function<void(PageId)> trace_fault_begin;
-    std::function<void()> trace_fault_end;
-    // Optional causal tracer (spans, flow arcs, trace-id allocation). May be null; trace ids then
-    // stay 0 and all instrumentation is skipped.
-    NodeTracer* tracer = nullptr;
-  };
-
+  // `host` is the node runtime: the DSM charges it, reads its clock, and blocks/wakes faulting
+  // server threads through it (common/upcalls.h).
   DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* packet,
-          const sim::CostModel* costs, const DsmConfig& config, Hooks hooks);
+          const sim::CostModel* costs, const DsmConfig& config, NodeUpcalls* host);
   ~DsmNode();
 
   DsmNode(const DsmNode&) = delete;
@@ -369,11 +345,9 @@ class DsmNode {
   net::PacketEndpoint* packet_;
   const sim::CostModel* costs_;
   DsmConfig config_;
-  Hooks hooks_;
-  // hooks_.tracer when it can record, nullptr otherwise (so hot paths skip name building).
-  NodeTracer* tracer() const {
-    return hooks_.tracer != nullptr && hooks_.tracer->enabled() ? hooks_.tracer : nullptr;
-  }
+  NodeUpcalls* host_;
+  // The host's tracer when it can record, nullptr otherwise (so hot paths skip name building).
+  NodeTracer* tracer() const { return host_->tracer().enabled() ? &host_->tracer() : nullptr; }
 
   std::vector<std::byte> replica_;
   std::vector<PageEntry> table_;

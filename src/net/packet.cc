@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/common/log.h"
+#include "src/common/metrics.h"
 
 namespace dfil::net {
 
@@ -46,12 +47,8 @@ const char* ServiceName(Service service) {
 }
 
 PacketEndpoint::PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config,
-                               ChargeFn charge, ClockFn clock)
-    : machine_(machine),
-      self_(self),
-      config_(config),
-      charge_(std::move(charge)),
-      clock_(std::move(clock)) {}
+                               NodeUpcalls* host)
+    : machine_(machine), self_(self), config_(config), host_(host) {}
 
 PacketEndpoint::~PacketEndpoint() {
   for (auto& [id, out] : outstanding_) {
@@ -98,7 +95,7 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
     Enqueue(dst, kind, service, req_id, body, charge_as, trace, /*held=*/false, 0);
     return;
   }
-  charge_(charge_as, machine_->costs().msg_send_overhead);
+  host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
   WireWriter w;
   w.Put(Header{kind, static_cast<uint16_t>(service), req_id, trace});
@@ -111,7 +108,7 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
   d.klass = static_cast<sim::MsgClass>(kind);
   d.trace = trace;
   d.payload = w.Take();
-  machine_->Send(std::move(d), clock_());
+  machine_->Send(std::move(d), host_->Clock());
 }
 
 namespace {
@@ -132,7 +129,7 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
   const bool was_empty = (q.bytes == 0);
   // The first frame into an empty queue pays the full send overhead; later frames only the
   // marginal pack cost. Logical per-service message counts are unchanged by coalescing.
-  charge_(charge_as, was_empty ? machine_->costs().msg_send_overhead
+  host_->Charge(charge_as, was_empty ? machine_->costs().msg_send_overhead
                                : machine_->costs().coalesce_frame_send);
   if (!was_empty) {
     stats_.frames_coalesced++;
@@ -144,8 +141,8 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
     q.held.push_back(std::move(frame));
     if (!q.hold_armed) {
       q.hold_armed = true;
-      q.hold_timer = machine_->ScheduleTimer(self_, clock_() + hold_for, [this, dst] {
-        charge_(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
+      q.hold_timer = machine_->ScheduleTimer(self_, host_->Clock() + hold_for, [this, dst] {
+        host_->Charge(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
         Flush(dst);
       });
     }
@@ -174,7 +171,7 @@ bool PacketEndpoint::ShouldHold(NodeId dst, Service service) const {
   if (it == last_req_from_.end()) {
     return false;
   }
-  const SimTime age = clock_() - it->second;
+  const SimTime age = host_->Clock() - it->second;
   // Just-served filter: a request that arrived within the last hold window has already been
   // answered (serving is synchronous), so the peer's NEXT request — the only carrier this hold
   // could ride on — is a full exchange period away. Holding would stall this fetch for the whole
@@ -193,7 +190,7 @@ void PacketEndpoint::ScheduleFlushEvent() {
   // Scheduled at the current clock: Machine::Run dispatches an event due at exactly a node's
   // clock before resuming the node, so every critical frame enqueued at this instant — however
   // many handlers run back to back — is packed before the node executes any further.
-  flush_event_ = machine_->ScheduleTimer(self_, clock_(), [this] {
+  flush_event_ = machine_->ScheduleTimer(self_, host_->Clock(), [this] {
     flush_event_pending_ = false;
     FlushBatches();
   });
@@ -264,14 +261,14 @@ void PacketEndpoint::SendFrames(NodeId dst, std::vector<QueuedFrame>& frames) {
     d.type = 0;
     d.klass = sim::MsgClass::kPacked;
     d.trace = frames[0].trace;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("net", "coalesce " + std::to_string(frames.size()) + "f -> n" +
-                                  std::to_string(dst));
+    if (NodeTracer& tracer = host_->tracer(); tracer.enabled()) {
+      tracer.Instant("net", "coalesce " + std::to_string(frames.size()) + "f -> n" +
+                                std::to_string(dst));
     }
   }
   RecordDatagram(w.size(), frames.size());
   d.payload = w.Take();
-  machine_->Send(std::move(d), clock_());
+  machine_->Send(std::move(d), host_->Clock());
 }
 
 void PacketEndpoint::RecordDatagram(size_t payload_bytes, size_t nframes) {
@@ -281,10 +278,9 @@ void PacketEndpoint::RecordDatagram(size_t payload_bytes, size_t nframes) {
     framed = machine_->costs().min_frame_bytes;
   }
   stats_.wire_bytes += framed;
-  if (metrics_ != nullptr) {
-    metrics_->Hist("net.frames_per_datagram").Record(static_cast<double>(nframes));
-    metrics_->Hist("net.bytes_per_datagram").Record(static_cast<double>(framed));
-  }
+  MetricsRegistry& metrics = host_->metrics();
+  metrics.Hist("net.frames_per_datagram").Record(static_cast<double>(nframes));
+  metrics.Hist("net.bytes_per_datagram").Record(static_cast<double>(framed));
 }
 
 uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, ReplyFn on_reply,
@@ -307,17 +303,16 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
     // spuriously into the very congestion that delayed the ack.
     out.timeout = coalesce_.elided_ack_timeout;
   }
-  out.sent_at = clock_();
+  out.sent_at = host_->Clock();
   out.expected_reply_bytes = expected_reply_bytes;
   out.attempts = 1;
   out.charge_as = charge_as;
   out.trace = CurTrace();
   stats_.requests_sent++;
-  if (metrics_ != nullptr) {
-    // Depth of the outstanding-request pipeline including this one: how many replies this node is
-    // waiting on whenever it issues a request (a proxy for remote serve-queue pressure).
-    metrics_->Hist("net.serve_queue_depth").Record(static_cast<double>(outstanding_.size() + 1));
-  }
+  // Depth of the outstanding-request pipeline including this one: how many replies this node is
+  // waiting on whenever it issues a request (a proxy for remote serve-queue pressure).
+  host_->metrics().Hist("net.serve_queue_depth")
+      .Record(static_cast<double>(outstanding_.size() + 1));
   if (coalesce_.enabled && ShouldHold(dst, service)) {
     Enqueue(dst, Kind::kRequest, service, req_id, body, charge_as, out.trace, /*held=*/true,
             coalesce_.request_hold);
@@ -373,7 +368,7 @@ void PacketEndpoint::UpdateRtt(NodeId src, const Outstanding& out) {
   if (out.attempts != 1) {
     return;  // Karn's rule: a retransmitted exchange yields an ambiguous sample
   }
-  const SimTime sample = clock_() - out.sent_at;
+  const SimTime sample = host_->Clock() - out.sent_at;
   PeerRtt& p = peer_rtt_[src];
   if (!p.valid) {
     p.srtt = sample;
@@ -384,23 +379,21 @@ void PacketEndpoint::UpdateRtt(NodeId src, const Outstanding& out) {
     p.rttvar = (3 * p.rttvar + err) / 4;
     p.srtt = (7 * p.srtt + sample) / 8;
   }
-  if (metrics_ != nullptr) {
-    SimTime rto = p.srtt + 4 * p.rttvar;
-    if (rto < config_.rto_min) {
-      rto = config_.rto_min;
-    }
-    if (rto > config_.retransmit_timeout_max) {
-      rto = config_.retransmit_timeout_max;
-    }
-    metrics_->Hist("net.rto_us").Record(ToMicroseconds(rto));
+  SimTime rto = p.srtt + 4 * p.rttvar;
+  if (rto < config_.rto_min) {
+    rto = config_.rto_min;
   }
+  if (rto > config_.retransmit_timeout_max) {
+    rto = config_.retransmit_timeout_max;
+  }
+  host_->metrics().Hist("net.rto_us").Record(ToMicroseconds(rto));
 }
 
 void PacketEndpoint::ArmTimer(uint64_t req_id) {
   auto it = outstanding_.find(req_id);
   DFIL_CHECK(it != outstanding_.end());
   it->second.timer =
-      machine_->ScheduleTimer(self_, clock_() + it->second.timeout, [this, req_id] {
+      machine_->ScheduleTimer(self_, host_->Clock() + it->second.timeout, [this, req_id] {
         OnTimeout(req_id);
       });
 }
@@ -414,20 +407,18 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
   DFIL_CHECK_LT(out.attempts, config_.retransmit_limit)
       << "Packet: request " << req_id << " to node " << out.dst << " (service "
       << static_cast<int>(out.service) << ") exceeded the retransmission limit";
-  charge_(out.charge_as, machine_->costs().timer_overhead);
+  host_->Charge(out.charge_as, machine_->costs().timer_overhead);
   DFIL_LOG(kDebug, "packet") << "node " << self_ << " retransmit req " << req_id << " to "
                              << out.dst << " attempt " << out.attempts + 1;
   out.attempts++;
   stats_.retransmissions++;
   machine_->net_stats().retransmissions++;
-  if (waitstate_ != nullptr) {
-    // The stall so far: the exchange has been outstanding since its first transmission.
-    waitstate_->Record(WaitKind::kRetransmit, static_cast<uint64_t>(out.service), out.sent_at,
-                       clock_());
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant("net", std::string("retx ") + ServiceName(out.service) + " -> n" +
-                                std::to_string(out.dst));
+  // The stall so far: the exchange has been outstanding since its first transmission.
+  host_->RecordWait(WaitKind::kRetransmit, static_cast<uint64_t>(out.service), out.sent_at,
+                    host_->Clock());
+  if (NodeTracer& tracer = host_->tracer(); tracer.enabled()) {
+    tracer.Instant("net", std::string("retx ") + ServiceName(out.service) + " -> n" +
+                              std::to_string(out.dst));
   }
   Transmit(out.dst, Kind::kRequest, out.service, req_id, out.body, out.charge_as, out.trace);
   // Exponential backoff, capped.
@@ -443,7 +434,7 @@ void PacketEndpoint::SendRaw(NodeId dst, Service service, Payload body, TimeCate
 void PacketEndpoint::BroadcastRaw(Service service, Payload body, TimeCategory charge_as) {
   // Broadcasts cannot be packed per destination; they go out immediately even when coalescing.
   stats_.raw_sent++;
-  charge_(charge_as, machine_->costs().msg_send_overhead);
+  host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
   const uint64_t trace = CurTrace();
   WireWriter w;
@@ -457,7 +448,7 @@ void PacketEndpoint::BroadcastRaw(Service service, Payload body, TimeCategory ch
   d.klass = sim::MsgClass::kRaw;
   d.trace = trace;
   d.payload = w.Take();
-  machine_->Broadcast(std::move(d), clock_());
+  machine_->Broadcast(std::move(d), host_->Clock());
 }
 
 void PacketEndpoint::OnDatagram(sim::Datagram d) {
@@ -502,23 +493,23 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
       first ? machine_->costs().msg_recv_overhead : machine_->costs().coalesce_frame_recv;
   // Handlers run under the incoming message's causal trace id, so every nested send — the reply,
   // a redirect chase, an invalidation round — inherits the originating fault's id.
-  TraceContext trace_ctx(tracer_, h.trace);
+  TraceContext trace_ctx(&host_->tracer(), h.trace);
   switch (h.kind) {
     case Kind::kRequest: {
       auto it = services_.find(h.service);
       DFIL_CHECK(it != services_.end())
           << "node " << self_ << ": no service " << h.service;
-      charge_(it->second.recv_category, recv_cost);
+      host_->Charge(it->second.recv_category, recv_cost);
       if (coalesce_.enabled && (static_cast<Service>(h.service) == Service::kPageRequest ||
                                 static_cast<Service>(h.service) == Service::kBulkPageRequest)) {
-        last_req_from_[src] = clock_();  // drives the mutual-peer hold heuristic
+        last_req_from_[src] = host_->Clock();  // drives the mutual-peer hold heuristic
       }
       HandleRequest(src, h.req_id, static_cast<Service>(h.service), std::move(body));
       return;
     }
     case Kind::kReply: {
       auto out = outstanding_.find(h.req_id);
-      charge_(out != outstanding_.end() ? out->second.charge_as : TimeCategory::kSyncOverhead,
+      host_->Charge(out != outstanding_.end() ? out->second.charge_as : TimeCategory::kSyncOverhead,
               recv_cost);
       HandleReply(src, h.req_id, std::move(body));
       return;
@@ -527,12 +518,12 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
       auto it = raw_handlers_.find(h.service);
       DFIL_CHECK(it != raw_handlers_.end())
           << "node " << self_ << ": no raw handler for service " << h.service;
-      charge_(it->second.recv_category, recv_cost);
+      host_->Charge(it->second.recv_category, recv_cost);
       it->second.fn(src, std::move(body));
       return;
     }
     case Kind::kAck: {
-      charge_(TimeCategory::kSyncOverhead, recv_cost);
+      host_->Charge(TimeCategory::kSyncOverhead, recv_cost);
       auto it = pending_replies_.find({src, h.req_id});
       if (it != pending_replies_.end()) {
         it->second.timer.Cancel();
@@ -553,7 +544,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     // Ignore mutating requests while this node is inside a critical section; the requester's
     // retransmission will retry (paper §3: entry/exit are a single assignment, ignored messages
     // are recovered by Packet).
-    if (in_critical_section && in_critical_section()) {
+    if (host_->InCriticalSection()) {
       stats_.deferred_requests++;
       machine_->net_stats().deferred_requests++;
       return;
@@ -610,7 +601,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   }
   if (!entry.idempotent) {
     const SimTime expires =
-        clock_() + config_.retransmit_timeout * config_.response_cache_timeouts;
+        host_->Clock() + config_.retransmit_timeout * config_.response_cache_timeouts;
     response_cache_[{src, req_id}] = CachedReply{*reply, expires};
     cache_fifo_.push_back({src, req_id});
     // Evict in FIFO order: anything expired, plus the oldest entries beyond the size cap. A
@@ -618,7 +609,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     // the rare non-idempotent case, the CHECK below the service catches it loudly in tests.
     while (!cache_fifo_.empty() &&
            (cache_fifo_.size() > kResponseCacheCap ||
-            response_cache_[cache_fifo_.front()].expires < clock_())) {
+            response_cache_[cache_fifo_.front()].expires < host_->Clock())) {
       response_cache_.erase(cache_fifo_.front());
       cache_fifo_.pop_front();
     }
@@ -667,7 +658,7 @@ void PacketEndpoint::SendReplyBuffered(NodeId dst, Service service, uint64_t req
   rep.service = service;
   rep.body = std::move(body);
   rep.trace = CurTrace();
-  rep.timer = machine_->ScheduleTimer(self_, clock_() + config_.retransmit_timeout,
+  rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
                                       [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
   pending_replies_[{dst, req_id}] = std::move(rep);
 }
@@ -681,10 +672,10 @@ void PacketEndpoint::OnReplyTimeout(NodeId dst, uint64_t req_id) {
   DFIL_CHECK_LT(rep.attempts, config_.retransmit_limit) << "buffered reply never acknowledged";
   rep.attempts++;
   stats_.reply_retransmissions++;
-  charge_(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
+  host_->Charge(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
   Transmit(rep.dst, Kind::kReply, rep.service, req_id, rep.body, TimeCategory::kSyncOverhead,
            rep.trace);
-  rep.timer = machine_->ScheduleTimer(self_, clock_() + config_.retransmit_timeout,
+  rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
                                       [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
 }
 

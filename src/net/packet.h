@@ -26,11 +26,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/metrics.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
-#include "src/common/waitstate.h"
+#include "src/common/upcalls.h"
 #include "src/net/wire.h"
 #include "src/sim/machine.h"
 
@@ -111,28 +110,32 @@ struct PacketConfig {
   bool ack_replies = false;
 };
 
-// Statistics specific to the Packet layer of one node.
+// Statistics specific to the Packet layer of one node (counter table: common/stats.h).
+#define DFIL_PACKET_COUNTERS(X)                                                                    \
+  X(requests_sent)                                                                                 \
+  X(replies_sent)                                                                                  \
+  X(acks_sent)                                                                                     \
+  X(reply_retransmissions)                                                                         \
+  X(retransmissions)                                                                               \
+  X(duplicate_requests)                                                                            \
+  X(duplicate_replies)                                                                             \
+  X(deferred_requests) /* ignored due to a critical section or a busy service */                   \
+  X(raw_sent)                                                                                      \
+  /* Idempotent services only: replies are never buffered, so a retransmitted request */           \
+  /* makes the service rebuild its reply from current state (paper Figure 3c). Splitting */        \
+  /* first serves from rebuilds makes that loss-recovery path — and bulk-reply */                  \
+  /* idempotence — observable in tests. */                                                         \
+  X(replies_first_serve)                                                                           \
+  X(replies_rebuilt)                                                                               \
+  /* Wire-level accounting: one datagram may carry many logical frames when coalescing is on. */   \
+  X(datagrams_sent)                                                                                \
+  X(wire_bytes)        /* framed bytes on the wire (link headers + packed frames) */               \
+  X(frames_coalesced)  /* frames that rode an already-open datagram */                             \
+  X(replies_elided)    /* idempotent replies suppressed (a later frame stands in) */               \
+  X(requests_canceled) /* outstanding requests canceled before their reply arrived */
+
 struct PacketStats {
-  uint64_t requests_sent = 0;
-  uint64_t replies_sent = 0;
-  uint64_t acks_sent = 0;
-  uint64_t reply_retransmissions = 0;
-  uint64_t retransmissions = 0;
-  uint64_t duplicate_requests = 0;
-  uint64_t duplicate_replies = 0;
-  uint64_t deferred_requests = 0;  // ignored due to a critical section or a busy service
-  uint64_t raw_sent = 0;
-  // Idempotent services only: replies are never buffered, so a retransmitted request makes the
-  // service rebuild its reply from current state (paper Figure 3c). Splitting first serves from
-  // rebuilds makes that loss-recovery path — and bulk-reply idempotence — observable in tests.
-  uint64_t replies_first_serve = 0;
-  uint64_t replies_rebuilt = 0;
-  // Wire-level accounting: one datagram may carry many logical frames when coalescing is on.
-  uint64_t datagrams_sent = 0;
-  uint64_t wire_bytes = 0;         // framed bytes on the wire (link headers + packed frames)
-  uint64_t frames_coalesced = 0;   // frames that rode an already-open datagram
-  uint64_t replies_elided = 0;     // idempotent replies suppressed (a later frame stands in)
-  uint64_t requests_canceled = 0;  // outstanding requests canceled before their reply arrived
+  DFIL_DECLARE_COUNTERS(PacketStats, "net", DFIL_PACKET_COUNTERS)
 };
 
 // One node's endpoint of the Packet protocol.
@@ -143,13 +146,15 @@ class PacketEndpoint {
   using ServiceFn = std::function<std::optional<Payload>(NodeId src, WireReader body)>;
   using ReplyFn = std::function<void(Payload reply)>;
   using RawFn = std::function<void(NodeId src, Payload body)>;
-  // Charges CPU cost to the owning node's virtual clock.
-  using ChargeFn = std::function<void(TimeCategory, SimTime)>;
-  // Reads the owning node's virtual clock.
-  using ClockFn = std::function<SimTime()>;
 
-  PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config, ChargeFn charge,
-                 ClockFn clock);
+  // `host` is the owning node: it is charged CPU costs and supplies the clock and the
+  // critical-section flag. Its tracer supplies the causal trace id stamped on every outgoing
+  // packet — requests carry the sender's current context, replies/acks echo the request's id,
+  // retransmissions re-stamp the original — and incoming handlers run under the message's id so
+  // nested sends inherit it. Its metrics registry receives the per-datagram and
+  // outstanding-pipeline-depth histograms, and every RTO expiry records a kRetransmit wait
+  // spanning [first send, expiry].
+  PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config, NodeUpcalls* host);
   ~PacketEndpoint();
 
   PacketEndpoint(const PacketEndpoint&) = delete;
@@ -201,22 +206,8 @@ class PacketEndpoint {
   // Requests still awaiting a reply. Nodes delay at synchronization points until this is zero.
   size_t outstanding() const { return outstanding_.size(); }
 
-  // When set and returning true, requests for mutating (non-idempotent) services are ignored.
-  std::function<bool()> in_critical_section;
-
   const PacketStats& stats() const { return stats_; }
   PacketConfig& config() { return config_; }
-
-  // Observability wiring (optional; set by the runtime after construction). The tracer supplies
-  // the causal trace id stamped on every outgoing packet — requests carry the sender's current
-  // context, replies/acks echo the request's id, retransmissions re-stamp the original — and
-  // incoming handlers run under the message's id so nested sends inherit it. The metrics registry
-  // receives the per-service send counters and the outstanding-pipeline-depth histogram.
-  void set_tracer(NodeTracer* tracer) { tracer_ = tracer; }
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-  // When set, every RTO expiry records a kRetransmit wait event spanning [first send, expiry] —
-  // the stall the retransmission is recovering from. Recording only; never perturbs the schedule.
-  void set_waitstate(WaitStateRecorder* waitstate) { waitstate_ = waitstate; }
 
   // Messages transmitted per service (requests, replies, raws and acks combined), for the
   // Figure 9 message-count table.
@@ -314,8 +305,8 @@ class PacketEndpoint {
   void UpdateRtt(NodeId src, const Outstanding& out);
   // Dispatches one unpacked frame; `first` selects full receive overhead vs the marginal cost.
   void DispatchFrame(NodeId src, const Header& h, Payload body, bool first);
-  // The node's current causal trace id (0 when no tracer is wired).
-  uint64_t CurTrace() const { return tracer_ != nullptr ? tracer_->current() : 0; }
+  // The node's current causal trace id (0 = no causal context).
+  uint64_t CurTrace() const { return host_->tracer().current(); }
   void ArmTimer(uint64_t req_id);
   void OnTimeout(uint64_t req_id);
   void HandleRequest(NodeId src, uint64_t req_id, Service service, Payload body);
@@ -328,12 +319,8 @@ class PacketEndpoint {
   NodeId self_;
   PacketConfig config_;
   CoalesceConfig coalesce_;
-  ChargeFn charge_;
-  ClockFn clock_;
+  NodeUpcalls* host_;
   PacketStats stats_;
-  NodeTracer* tracer_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
-  WaitStateRecorder* waitstate_ = nullptr;
   std::map<uint16_t, uint64_t> sent_by_service_;
 
   uint64_t next_req_id_ = 1;

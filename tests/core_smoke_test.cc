@@ -144,11 +144,7 @@ TEST(ClusterSmoke, RtcFilamentsSweep) {
     ASSERT_DOUBLE_EQ(out[i], 2.0 * (i + 1)) << i;
   }
   // Pattern recognition must have kicked in: the strips are affine runs.
-  uint64_t inlined = 0;
-  for (const auto& nr : r.nodes) {
-    inlined += nr.filaments.filaments_run_inlined;
-  }
-  EXPECT_GT(inlined, 900u);
+  EXPECT_GT(r.TotalFilaments().filaments_run_inlined, 900u);
 }
 
 // Fork/join: recursive sum of [lo, hi).

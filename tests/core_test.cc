@@ -331,11 +331,7 @@ TEST(ForkJoinStealTest, StealingBalancesSkewedWork) {
   RunReport without = run_with(false);
   // 320 ms of heavy leaves is concentrated in one subtree: stealing must shorten the makespan.
   EXPECT_LT(with.makespan, without.makespan);
-  uint64_t steals = 0;
-  for (const auto& nr : with.nodes) {
-    steals += nr.filaments.steals_succeeded;
-  }
-  EXPECT_GT(steals, 0u);
+  EXPECT_GT(with.TotalFilaments().steals_succeeded, 0u);
 }
 
 // --- Reductions ----------------------------------------------------------------------------------

@@ -96,13 +96,9 @@ TEST(DsmProtocolTest, ImplicitInvalidateSendsNoInvalidationMessages) {
     }
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
-  uint64_t invalidations = 0, implicit = 0;
-  for (const auto& nr : r.nodes) {
-    invalidations += nr.dsm.invalidations_sent;
-    implicit += nr.dsm.implicit_invalidations;
-  }
-  EXPECT_EQ(invalidations, 0u);
-  EXPECT_GT(implicit, 0u);
+  const DsmStats total = r.TotalDsm();
+  EXPECT_EQ(total.invalidations_sent, 0u);
+  EXPECT_GT(total.implicit_invalidations, 0u);
 }
 
 TEST(DsmProtocolTest, WriteInvalidateSendsInvalidations) {
@@ -119,11 +115,7 @@ TEST(DsmProtocolTest, WriteInvalidateSendsInvalidations) {
     }
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
-  uint64_t invalidations = 0;
-  for (const auto& nr : r.nodes) {
-    invalidations += nr.dsm.invalidations_sent;
-  }
-  EXPECT_GT(invalidations, 0u);
+  EXPECT_GT(r.TotalDsm().invalidations_sent, 0u);
 }
 
 TEST(DsmProtocolTest, MigratoryKeepsOneCopy) {
@@ -167,11 +159,8 @@ TEST(DsmProtocolTest, OwnerForwardingChainsResolve) {
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
   EXPECT_EQ(final_value, 1 + 2 + 3);
-  uint64_t forwards = 0;
-  for (const auto& nr : r.nodes) {
-    forwards += nr.dsm.page_forwards;
-  }
-  EXPECT_GT(forwards, 0u) << "stale hints should have produced at least one redirect";
+  EXPECT_GT(r.TotalDsm().page_forwards, 0u)
+      << "stale hints should have produced at least one redirect";
 }
 
 TEST(DsmProtocolTest, PageGroupsFetchTogether) {
@@ -222,11 +211,7 @@ TEST(DsmProtocolTest, MirageWindowDefersTransfers) {
     env.Barrier();
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
-  uint64_t deferrals = 0;
-  for (const auto& nr : r.nodes) {
-    deferrals += nr.dsm.mirage_deferrals;
-  }
-  EXPECT_GT(deferrals, 0u);
+  EXPECT_GT(r.TotalDsm().mirage_deferrals, 0u);
 }
 
 TEST(DsmProtocolTest, LostPageTrafficRecovers) {
@@ -536,13 +521,11 @@ TEST(DsmPrefetchTest, RegularJacobiStripsWasteNoPrefetches) {
   cfg.page_shift = 9;  // 64 doubles/row = 512 B = exactly one page: strips are page-aligned
   apps::AppRun df = apps::RunJacobiDf(p, cfg);
   ASSERT_TRUE(df.report.completed) << df.report.deadlock_report;
-  uint64_t prefetched = 0, wasted = 0;
-  for (const auto& nr : df.report.nodes) {
-    prefetched += nr.dsm.prefetched_pages;
-    wasted += nr.dsm.prefetch_wasted;
-  }
-  EXPECT_GT(prefetched, 0u) << "the hint layer should have prefetched the boundary rows";
-  EXPECT_EQ(wasted, 0u) << "perfectly regular strips must not waste a single prefetch";
+  const DsmStats total = df.report.TotalDsm();
+  EXPECT_GT(total.prefetched_pages, 0u)
+      << "the hint layer should have prefetched the boundary rows";
+  EXPECT_EQ(total.prefetch_wasted, 0u)
+      << "perfectly regular strips must not waste a single prefetch";
 }
 
 }  // namespace

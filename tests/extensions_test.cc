@@ -218,11 +218,7 @@ TEST(SorTest, TwoSyncPointsPerIteration) {
   ASSERT_TRUE(df.report.completed);
   // Red and black halves each end in a reduction: at least 2 x iterations implicit-invalidation
   // rounds show up as re-fetches of the edge pages.
-  uint64_t rf = 0;
-  for (const auto& nr : df.report.nodes) {
-    rf += nr.dsm.read_faults;
-  }
-  EXPECT_GE(rf, static_cast<uint64_t>(2 * p.iterations));
+  EXPECT_GE(df.report.TotalDsm().read_faults, static_cast<uint64_t>(2 * p.iterations));
 }
 
 }  // namespace

@@ -34,28 +34,6 @@ core::ClusterConfig AdversarialConfig(int nodes, dsm::Pcp pcp) {
   return cfg;
 }
 
-DsmStats SumDsm(const core::RunReport& report) {
-  DsmStats sum;
-  for (const core::NodeReport& nr : report.nodes) {
-    sum.read_faults += nr.dsm.read_faults;
-    sum.write_faults += nr.dsm.write_faults;
-    sum.use_deferrals += nr.dsm.use_deferrals;
-    sum.grant_reserves += nr.dsm.grant_reserves;
-    sum.stale_invalidations_ignored += nr.dsm.stale_invalidations_ignored;
-    sum.stale_transfer_dups_ignored += nr.dsm.stale_transfer_dups_ignored;
-    sum.discarded_installs += nr.dsm.discarded_installs;
-  }
-  return sum;
-}
-
-uint64_t SumDuplicateReplies(const core::RunReport& report) {
-  uint64_t sum = 0;
-  for (const core::NodeReport& nr : report.nodes) {
-    sum += nr.packet.duplicate_replies;
-  }
-  return sum;
-}
-
 // --- Seed-replay determinism -----------------------------------------------------------------
 
 TEST(FuzzReplayTest, SameScenarioAndSeedReplayIdentically) {
@@ -79,6 +57,16 @@ TEST(FuzzReplayTest, CleanScenarioIsAnOracleCanary) {
   EXPECT_TRUE(r.ok()) << r.Summary();
   EXPECT_GT(r.oracle_checks, 0u);
   EXPECT_GT(r.quiescent_points, 0u);
+}
+
+TEST(FuzzReplayTest, ResultSumsEveryDsmCounter) {
+  // FuzzResult::dsm is the cluster sum of every DsmStats counter, so the page traffic a lossy
+  // case generates reaches the result along with its faults.
+  const FuzzResult r = RunFuzzCase("uniform-loss", 9, {});
+  EXPECT_TRUE(r.ok()) << r.Summary();
+  ASSERT_GT(r.dsm.read_faults, 0u) << r.Summary();
+  EXPECT_GT(r.dsm.page_request_messages(), 0u);
+  EXPECT_GT(r.dsm.page_data_bytes, 0u);
 }
 
 // --- Pinned fuzzer finds ---------------------------------------------------------------------
@@ -192,7 +180,7 @@ TEST(DuplicationDefenseTest, DuplicateInvalidationsIgnoredAfterReacquisition) {
   ASSERT_TRUE(faulted.report.completed) << faulted.report.deadlock_report;
   EXPECT_EQ(faulted.output, reference.output);
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
-  EXPECT_GT(SumDsm(faulted.report).stale_invalidations_ignored, 0u);
+  EXPECT_GT(faulted.report.TotalDsm().stale_invalidations_ignored, 0u);
 }
 
 // Every page request is duplicated with up to 25 ms of extra delay under migratory, where
@@ -217,7 +205,7 @@ TEST(DuplicationDefenseTest, DuplicateTransferRequestsIgnoredAfterReacquisition)
   ASSERT_TRUE(faulted.report.completed) << faulted.report.deadlock_report;
   EXPECT_EQ(faulted.output, reference.output);
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
-  EXPECT_GT(SumDsm(faulted.report).stale_transfer_dups_ignored, 0u);
+  EXPECT_GT(faulted.report.TotalDsm().stale_transfer_dups_ignored, 0u);
 }
 
 // --- Reply idempotence (property) ------------------------------------------------------------
@@ -248,7 +236,7 @@ TEST_P(ReplyIdempotenceTest, DuplicatedRepliesLeaveStateIdentical) {
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
   // Every duplicated reply the network delivered was recognized and dropped by a receiver.
   EXPECT_GT(faulted.report.net.messages_duplicated, 0u);
-  EXPECT_GT(SumDuplicateReplies(faulted.report), 0u);
+  EXPECT_GT(faulted.report.TotalPacket().duplicate_replies, 0u);
 }
 
 TEST_P(ReplyIdempotenceTest, ReorderedRepliesLeaveStateIdentical) {

@@ -133,14 +133,6 @@ uint64_t SumCounter(const RunReport& report, const std::string& name) {
   return total;
 }
 
-uint64_t SumPagesRehomed(const RunReport& report) {
-  uint64_t total = 0;
-  for (const auto& nr : report.nodes) {
-    total += nr.dsm.pages_rehomed;
-  }
-  return total;
-}
-
 // --- Balancer-off invariance -----------------------------------------------------------------
 
 TEST(BalancerOffTest, DisabledRunsReplayByteIdentically) {
@@ -174,7 +166,7 @@ TEST(BalancerOffTest, KnobValuesAreInertWhileDisabled) {
   EXPECT_EQ(a.report.makespan, b.report.makespan);
   EXPECT_EQ(SumCounter(b.report, "core.rebalance_plans"), 0u);
   EXPECT_EQ(SumCounter(b.report, "core.filaments_migrated"), 0u);
-  EXPECT_EQ(SumPagesRehomed(b.report), 0u);
+  EXPECT_EQ(b.report.TotalDsm().pages_rehomed, 0u);
   EXPECT_EQ(a.report.net.messages_sent, b.report.net.messages_sent);
 }
 
@@ -211,7 +203,7 @@ TEST(BalancerOnTest, BalancedRunsReplayIdentically) {
             SumCounter(b.report, "core.rebalance_plans"));
   EXPECT_EQ(SumCounter(a.report, "core.filaments_migrated"),
             SumCounter(b.report, "core.filaments_migrated"));
-  EXPECT_EQ(SumPagesRehomed(a.report), SumPagesRehomed(b.report));
+  EXPECT_EQ(a.report.TotalDsm().pages_rehomed, b.report.TotalDsm().pages_rehomed);
 }
 
 TEST(BalancerOnTest, TracingDoesNotPerturbTheBalancedSchedule) {
@@ -250,7 +242,7 @@ TEST(BalancerOnTest, MigrationShedsLoadOffTheSlowNode) {
   EXPECT_GE(SumCounter(bal.report, "core.rebalance_plans"), 1u);
   EXPECT_GE(SumCounter(bal.report, "core.filaments_migrated"),
             static_cast<uint64_t>(kFilamentsPerPool));
-  EXPECT_GE(SumPagesRehomed(bal.report), 1u);
+  EXPECT_GE(bal.report.TotalDsm().pages_rehomed, 1u);
   EXPECT_LT(bal.report.makespan, stat.report.makespan)
       << "migrating pools off a 2x-slow node must shorten the run";
 }
@@ -280,7 +272,7 @@ TEST(BalancerFaultTest, RehomingSurvivesUniformLossUnderTheOracle) {
   EXPECT_EQ(r.validation_error, 0.0) << "a lost migrate or re-home corrupted the grid";
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
   EXPECT_GE(SumCounter(r.report, "core.filaments_migrated"), 1u);
-  EXPECT_GE(SumPagesRehomed(r.report), 1u);
+  EXPECT_GE(r.report.TotalDsm().pages_rehomed, 1u);
 }
 
 TEST(BalancerFaultTest, DuplicatedMigratesAndRehomesApplyExactlyOnce) {
@@ -304,7 +296,7 @@ TEST(BalancerFaultTest, DuplicatedMigratesAndRehomesApplyExactlyOnce) {
   EXPECT_EQ(r.validation_error, 0.0) << "a duplicated migrate re-ran filaments";
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
   EXPECT_GE(SumCounter(r.report, "core.filaments_migrated"), 1u);
-  EXPECT_GE(SumPagesRehomed(r.report), 1u);
+  EXPECT_GE(r.report.TotalDsm().pages_rehomed, 1u);
 }
 
 // --- ClusterConfig::Validate on the balancer block -------------------------------------------

@@ -3,7 +3,10 @@
 // export/report pipeline, and the CI counter-regression gate.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "src/apps/fuzz_driver.h"
 #include "src/apps/jacobi.h"
@@ -12,6 +15,7 @@
 #include "src/common/trace.h"
 #include "src/core/cluster.h"
 #include "src/core/metrics_io.h"
+#include "src/net/packet.h"
 #include "tools/report_lib.h"
 
 namespace dfil {
@@ -260,11 +264,7 @@ TEST(ObservabilityIntegrationTest, MetricsJsonExportsAndReportsRender) {
   ASSERT_EQ(run.per_node.size(), 8u);
 
   // Flattened struct counters and cluster totals agree with the report.
-  uint64_t read_faults = 0;
-  for (const auto& nr : r.nodes) {
-    read_faults += nr.dsm.read_faults;
-  }
-  EXPECT_EQ(run.ClusterCounter("dsm.read_faults"), read_faults);
+  EXPECT_EQ(run.ClusterCounter("dsm.read_faults"), r.TotalDsm().read_faults);
   EXPECT_GT(run.ClusterCounter("dsm.page_request_messages"), 0u);
   EXPECT_GT(run.ClusterCounter("net.barrier_messages"), 0u);
   EXPECT_GT(run.ClusterCounter("net.sent.page_request"), 0u);
@@ -320,6 +320,67 @@ TEST(ObservabilityIntegrationTest, TraceCaptureDoesNotChangeTheSchedule) {
   EXPECT_EQ(with_trace.makespan, without.makespan);
   EXPECT_EQ(with_trace.net.messages_sent, without.net.messages_sent);
   EXPECT_EQ(with_trace.dsm.read_faults, without.dsm.read_faults);
+}
+
+// dfil-metrics-v2 per-node counter names. Every node exports these 67 whatever its traffic: the
+// DSM, Packet and Filaments counter tables plus dsm.page_request_messages. Renaming or dropping
+// a table entry changes the schema that dfil_report, dfil_diff and the CI gates read, so it must
+// fail here.
+constexpr const char* kNodeCounterNames[] = {
+    "dsm.adapter_switches_to_diff", "dsm.adapter_switches_to_ii", "dsm.bulk_misses",
+    "dsm.bulk_pages_requested", "dsm.bulk_pages_served", "dsm.bulk_requests",
+    "dsm.diff_bulk_refetches", "dsm.diff_bytes_sent", "dsm.diff_merges_applied",
+    "dsm.diff_merges_sent", "dsm.diff_pages_flushed", "dsm.diff_pages_merged",
+    "dsm.diff_stale_merges_ignored", "dsm.diff_twins_created", "dsm.discarded_installs",
+    "dsm.fetch_deferrals", "dsm.grant_reserves", "dsm.implicit_invalidations",
+    "dsm.invalidations_received", "dsm.invalidations_sent", "dsm.mirage_deferrals",
+    "dsm.page_data_bytes", "dsm.page_forwards", "dsm.page_request_messages",
+    "dsm.page_requests_served", "dsm.pages_rehomed", "dsm.prefetch_wasted", "dsm.prefetched_pages",
+    "dsm.read_faults", "dsm.rehome_misses", "dsm.rehome_misses_served",
+    "dsm.rehome_pages_requested", "dsm.rehome_pages_served", "dsm.rehome_requests",
+    "dsm.single_page_requests", "dsm.stale_invalidations_ignored",
+    "dsm.stale_transfer_dups_ignored", "dsm.use_deferrals", "dsm.write_faults",
+    "fil.filaments_created", "fil.filaments_run", "fil.filaments_run_inlined", "fil.forks_local",
+    "fil.forks_pruned", "fil.forks_sent", "fil.pool_suspensions", "fil.server_threads_started",
+    "fil.steals_attempted", "fil.steals_attempted_on_us", "fil.steals_denied",
+    "fil.steals_succeeded", "net.acks_sent", "net.datagrams_sent", "net.deferred_requests",
+    "net.duplicate_replies", "net.duplicate_requests", "net.frames_coalesced", "net.raw_sent",
+    "net.replies_elided", "net.replies_first_serve", "net.replies_rebuilt", "net.replies_sent",
+    "net.reply_retransmissions", "net.requests_canceled", "net.requests_sent",
+    "net.retransmissions", "net.wire_bytes",
+};
+
+TEST(MetricsSchemaTest, PerNodeCounterNamesArePinned) {
+  apps::JacobiParams p;
+  p.n = 32;
+  p.iterations = 2;
+  core::ClusterConfig cfg;
+  cfg.nodes = 3;
+  const apps::AppRun run = apps::RunJacobiDf(p, cfg);
+  ASSERT_TRUE(run.report.completed) << run.report.deadlock_report;
+  std::ostringstream os;
+  core::WriteMetricsJson(run.report, "schema", os);
+  report::RunSummary parsed;
+  std::string error;
+  ASSERT_TRUE(report::ParseRun(os.str(), &parsed, &error)) << error;
+  ASSERT_EQ(parsed.per_node.size(), run.report.nodes.size());
+  for (size_t i = 0; i < parsed.per_node.size(); ++i) {
+    // Besides the pinned names, a node exports one net.sent.<service> per service it sent and
+    // the runtime counters of its live registry.
+    const core::NodeReport& nr = run.report.nodes[i];
+    std::set<std::string> expected(std::begin(kNodeCounterNames), std::end(kNodeCounterNames));
+    for (const auto& [svc, count] : nr.sent_by_service) {
+      expected.insert(std::string("net.sent.") + net::ServiceName(static_cast<net::Service>(svc)));
+    }
+    for (const auto& [name, value] : nr.metrics.counters()) {
+      expected.insert(name);
+    }
+    std::set<std::string> exported;
+    for (const auto& [name, value] : parsed.per_node[i].counters) {
+      exported.insert(name);
+    }
+    EXPECT_EQ(exported, expected) << "node " << i;
+  }
 }
 
 // --- Regression gate ---

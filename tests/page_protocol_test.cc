@@ -29,26 +29,6 @@ ClusterConfig Config(int nodes, Pcp pcp) {
   return cfg;
 }
 
-DsmStats SumDsm(const core::RunReport& r) {
-  DsmStats total;
-  for (const auto& nr : r.nodes) {
-    total.read_faults += nr.dsm.read_faults;
-    total.write_faults += nr.dsm.write_faults;
-    total.invalidations_sent += nr.dsm.invalidations_sent;
-    total.diff_twins_created += nr.dsm.diff_twins_created;
-    total.diff_merges_sent += nr.dsm.diff_merges_sent;
-    total.diff_pages_flushed += nr.dsm.diff_pages_flushed;
-    total.diff_bytes_sent += nr.dsm.diff_bytes_sent;
-    total.diff_merges_applied += nr.dsm.diff_merges_applied;
-    total.diff_pages_merged += nr.dsm.diff_pages_merged;
-    total.diff_stale_merges_ignored += nr.dsm.diff_stale_merges_ignored;
-    total.adapter_switches_to_diff += nr.dsm.adapter_switches_to_diff;
-    total.adapter_switches_to_ii += nr.dsm.adapter_switches_to_ii;
-    total.page_data_bytes += nr.dsm.page_data_bytes;
-  }
-  return total;
-}
-
 // --- Diff protocol ---------------------------------------------------------------------------
 
 // Four nodes concurrently write disjoint quarters of ONE shared page per epoch. Under any
@@ -75,7 +55,7 @@ TEST(DiffProtocolTest, ConcurrentWritersToOnePageMergeAtBarrier) {
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
-  const DsmStats s = SumDsm(r);
+  const DsmStats s = r.TotalDsm();
   EXPECT_GT(s.diff_twins_created, 0u);
   EXPECT_GT(s.diff_merges_sent, 0u);
   EXPECT_EQ(s.diff_merges_applied, s.diff_merges_sent);
@@ -143,7 +123,7 @@ TEST(DiffProtocolTest, DuplicatedMergesApplyOnce) {
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
-  EXPECT_GT(SumDsm(r).diff_stale_merges_ignored, 0u)
+  EXPECT_GT(r.TotalDsm().diff_stale_merges_ignored, 0u)
       << "every merge was duplicated; replays must hit the epoch filter";
 }
 
@@ -235,7 +215,7 @@ TEST(AdapterTest, FalseSharingFlipsToDiffAndCalmsBack) {
   ASSERT_TRUE(r.completed) << r.deadlock_report;
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
   EXPECT_EQ(final_value, 4242);
-  const DsmStats s = SumDsm(r);
+  const DsmStats s = r.TotalDsm();
   EXPECT_GE(s.adapter_switches_to_diff, 1u) << "hot false sharing must trigger the diff switch";
   EXPECT_GE(s.adapter_switches_to_ii, 1u) << "calm epochs must decay the group back";
   EXPECT_GT(s.diff_twins_created, 0u) << "the diff phase must actually engage twinning";
