@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   DFIL_CHECK(df.report.completed) << df.report.deadlock_report;
 
   auto get = [&](int node, TimeCategory c) {
-    return ToSeconds(df.report.nodes[node].breakdown.Get(c));
+    return ToSeconds(df.report.nodes[node].ledger.figure10(c));
   };
   auto range = [&](TimeCategory c) {
     double lo = 1e99, hi = -1e99;

@@ -25,6 +25,30 @@ uint64_t HashName(const std::string& s) {
 
 uint32_t ServiceNum(net::Service s) { return static_cast<uint32_t>(s); }
 
+// The ledger partitions (DESIGN.md §12), checked on every node of every case: the ledger books
+// the whole clock, the pool slots partition run time, and Figure 10's rows plus the
+// unclassified tail cover the clock. Appends one "ledger: ..." line per break.
+void CheckLedger(const core::NodeReport& nr, std::vector<std::string>* violations) {
+  const TimeLedger& l = nr.ledger;
+  auto check = [&](const char* what, SimTime got, SimTime want) {
+    if (got != want) {
+      violations->push_back("ledger: node " + std::to_string(nr.node) + " " + what + " " +
+                            std::to_string(got) + " != " + std::to_string(want));
+    }
+  };
+  check("total vs final_clock", l.total(), nr.final_clock);
+  SimTime pools = l.other_run();
+  for (int p = 0; p < l.num_pools(); ++p) {
+    pools += l.pool_run(p);
+  }
+  check("pool run + other_run vs run", pools, l.run_time());
+  SimTime rows = l.unclassified_tail();
+  for (size_t c = 0; c < kNumTimeCategories; ++c) {
+    rows += l.figure10(static_cast<TimeCategory>(c));
+  }
+  check("figure10 rows + tail vs final_clock", rows, nr.final_clock);
+}
+
 // Builds the scenario's fault plan from the config stream. Parameters are drawn per seed so a
 // sweep covers a band of intensities, not one fixed operating point.
 sim::FaultPlan BuildPlan(const std::string& scenario, Rng& rng, int nodes) {
@@ -134,7 +158,7 @@ std::string FuzzResult::Summary() const {
     os << ": output diverges from sequential reference";
   }
   if (!violations.empty()) {
-    os << ": " << violations.size() << " oracle violation(s), first: " << violations.front();
+    os << ": " << violations.size() << " violation(s), first: " << violations.front();
   }
   return os.str();
 }
@@ -195,7 +219,6 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
   Rng balance_rng(seed ^ HashName(scenario) ^ HashName("balance"));
   if (balance_rng.NextBernoulli(0.35)) {
     cfg.balancer.enabled = true;
-    cfg.waitstate_enabled = true;  // the balancer's signal; Validate insists on it
     cfg.balancer.balance_trigger_ratio = 0.05 + 0.25 * balance_rng.NextDouble();
     cfg.balancer.balance_patience_epochs = 1 + static_cast<int>(balance_rng.NextBounded(3));
     cfg.balancer.balance_cooldown_epochs = 1 + static_cast<int>(balance_rng.NextBounded(4));
@@ -271,6 +294,9 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
   // sequential program, so any divergence is a coherence bug, not floating-point noise.
   result.output_ok = result.completed && faulted.output == reference.output;
   result.violations = oracle.violations();
+  for (const core::NodeReport& nr : faulted.report.nodes) {
+    CheckLedger(nr, &result.violations);
+  }
   result.oracle_checks = oracle.checks_run();
   result.quiescent_points = oracle.quiescent_points();
   result.makespan = faulted.report.makespan;

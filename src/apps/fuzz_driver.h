@@ -7,7 +7,8 @@
 // validates three ways:
 //
 //  1. the run completed (no deadlock, no virtual-time runaway);
-//  2. the oracle recorded no invariant violations;
+//  2. the oracle recorded no invariant violations, and every node's time ledger is an exact
+//     partition of its clock (CheckLedger in fuzz_driver.cc);
 //  3. the output is bit-identical to the sequential reference of the same problem.
 //
 // Any failure reproduces from the printed (scenario, seed) alone — rerun with the same pair (and
@@ -46,7 +47,8 @@ struct FuzzResult {
 
   bool completed = false;
   bool output_ok = false;
-  std::vector<std::string> violations;  // oracle violations (empty on a clean run)
+  // Oracle violations, then "ledger: ..." partition breaks (empty on a clean run).
+  std::vector<std::string> violations;
 
   uint64_t oracle_checks = 0;
   uint64_t quiescent_points = 0;

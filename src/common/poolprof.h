@@ -1,31 +1,31 @@
-// Per-pool profiling ledgers: cost attribution at the granularity adaptation decisions are made.
+// Per-pool profiling: cost attribution at the granularity adaptation decisions are made.
 //
-// The wait-state recorder (waitstate.h) partitions a node's clock into run/serve/wait, but all
-// run time lands in one bucket — useless for questions like "which pool got slower after the
-// rebalance?" or "did the edge pools or the interior pool eat the regression?". The pool profiler
-// splits the RUN ledger by the pool whose server thread held the processor, and tags each pool
-// with a deterministic filament-function id so pools doing the same work can be rolled up across
-// nodes and compared across runs (dfil_diff).
+// A node's run time is split by pool structurally: the time ledger (common/ledger.h) gives every
+// pool its own slot, so each pool's run time is a ledger view, and sum(pool run) + other run ==
+// run holds by construction. This profiler keeps what the ledger does not — per-pool event
+// counters — and tags each pool with a deterministic filament-function id so pools doing the same
+// work can be rolled up across nodes and compared across runs (dfil_diff).
 //
 // Attribution contract (DESIGN.md §14):
-//   * run    — Charge time while the current server thread is executing a pool (the pool engine
-//              brackets ExecutePool with set_profile_pool). Time run outside any pool (main
-//              thread, fork/join workers, reduction waiters) accumulates in other_run().
-//   * serve  — handler-context time is NOT attributed per pool: an interrupt handler serves the
-//              cluster, not the pool it happens to preempt. It stays in the node serve ledger and
-//              is emitted as the residual row of the metrics "pools" section.
-//   * Exact partition: sum(pool run) + other_run() == WaitStateRecorder::run_time(), at SimTime
-//     resolution — both sides are fed from the same Charge quanta.
+//   * run     — thread-context Charge time while the current server thread executes a pool (the
+//               pool engine brackets ExecutePool with set_profile_pool): ledger slot 2+p. Time
+//               run outside any pool (main thread, fork/join workers, reduction waiters) is the
+//               ledger's other run.
+//   * serve   — handler-context time is NOT attributed per pool: an interrupt handler serves the
+//               cluster, not the pool it happens to preempt. It is emitted as the residual row
+//               of the metrics "pools" section.
 //   * blocked — thread-level blocked intervals of a pool's runner (overlapping across threads,
-//     like WaitStateRecorder::blocked_time); faults/filaments_run/migrated_in are event counts.
+//               like the wait-state event ring); faults/filaments_run/migrated_in are event
+//               counts.
 //
-// Like the wait-state and trace recorders, the profiler never charges time, sends messages, or
-// branches the runtime on its own state: profiling on/off yields byte-identical schedules.
+// The profiler never charges time, sends messages, or branches the runtime on its own state.
 #ifndef DFIL_COMMON_POOLPROF_H_
 #define DFIL_COMMON_POOLPROF_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "src/common/types.h"
 
@@ -33,8 +33,7 @@ namespace dfil {
 
 class PoolProfiler {
  public:
-  struct Ledger {
-    SimTime run = 0;            // thread-context Charge time while running this pool
+  struct Counters {
     SimTime blocked = 0;        // this pool's runner blocked (page fault, mostly)
     uint64_t faults = 0;        // pool suspensions on page faults
     uint64_t filaments_run = 0;
@@ -56,57 +55,39 @@ class PoolProfiler {
 
   // Ties `pool` to its first filament's function (subsequent calls keep the first binding).
   void BindPoolFn(int pool, const void* fn) {
-    Ledger& l = pools_[pool];
-    if (l.fn < 0) {
-      l.fn = FnIdOf(fn);
+    Counters& c = At(pool);
+    if (c.fn < 0) {
+      c.fn = FnIdOf(fn);
     }
   }
 
-  // Run-time attribution; pool < 0 = the current thread is not a pool runner (residual bucket).
-  void AddRun(int pool, SimTime t) {
-    if (pool < 0) {
-      other_run_ += t;
-      return;
-    }
-    pools_[pool].run += t;
-  }
+  // pool < 0 = the thread is not a pool runner; nothing is attributed.
   void AddBlocked(int pool, SimTime t) {
     if (pool >= 0) {
-      pools_[pool].blocked += t;
+      At(pool).blocked += t;
     }
   }
-  void OnFault(int pool) {
-    if (pool >= 0) {
-      pools_[pool].faults++;
-    }
-  }
-  void OnFilamentsRun(int pool, uint64_t n) {
-    if (pool >= 0) {
-      pools_[pool].filaments_run += n;
-    }
-  }
-  void OnMigratedIn(int pool, uint64_t n) {
-    if (pool >= 0) {
-      pools_[pool].migrated_in += n;
-    }
-  }
+  void OnFault(int pool) { At(pool).faults++; }
+  void OnFilamentsRun(int pool, uint64_t n) { At(pool).filaments_run += n; }
+  void OnMigratedIn(int pool, uint64_t n) { At(pool).migrated_in += n; }
 
-  SimTime other_run() const { return other_run_; }
-  SimTime pool_run_total() const {
-    SimTime total = 0;
-    for (const auto& [id, l] : pools_) {
-      total += l.run;
-    }
-    return total;
+  // Pool `pool`'s counters; a pool nothing was attributed to reads as all-default.
+  Counters counters(int pool) const {
+    return static_cast<size_t>(pool) < pools_.size() ? pools_[static_cast<size_t>(pool)]
+                                                     : Counters{};
   }
-  const std::map<int, Ledger>& pools() const { return pools_; }
-  bool empty() const { return pools_.empty() && other_run_ == 0; }
 
  private:
-  std::map<int, Ledger> pools_;          // pool id -> ledger, deterministic iteration
+  Counters& At(int pool) {
+    if (static_cast<size_t>(pool) >= pools_.size()) {
+      pools_.resize(static_cast<size_t>(pool) + 1);
+    }
+    return pools_[static_cast<size_t>(pool)];
+  }
+
+  std::vector<Counters> pools_;          // indexed by pool id (dense, PoolEngine::CreatePool)
   std::map<const void*, int> fn_ids_;    // filament fn -> first-appearance id
   int next_fn_id_ = 0;
-  SimTime other_run_ = 0;
 };
 
 }  // namespace dfil

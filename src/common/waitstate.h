@@ -3,21 +3,18 @@
 // The Figure 10 breakdown answers "where did the time go" with six coarse buckets; the wait-state
 // recorder answers the sharper question "what exactly was each node waiting FOR" — a page (which
 // one), a barrier (which epoch), a service call (which service), an RTO (which peer). Every
-// blocked interval becomes one WaitEvent {kind, detail, start, end}, and the node's entire
-// virtual clock is partitioned exactly into three ledgers:
+// blocked interval becomes one WaitEvent {kind, detail, start, end}. A blocked thread carries its
+// (WaitKind, detail) pair from the block site to the wake (ServerThread::set_block_reason), so no
+// string is built or parsed on either path.
 //
-//   run   — time charged while a server thread held the processor (Charge with a current thread)
-//   serve — time charged in handler (interrupt) context: serving pages, acks, reduce traffic
-//   wait  — scheduler gaps (AdvanceTo), classified by the wake that ended them
+// The node's clock itself is partitioned into run / serve / wait by the time ledger
+// (common/ledger.h); this recorder keeps only what the ledger does not: per-kind event counts and
+// a fixed-capacity ring of the thread-level intervals, which overlap across threads.
 //
-// Invariant (asserted in tests, documented in DESIGN.md §12): run + serve + wait == the node's
-// final virtual clock, exactly — the clock only ever advances through those three paths.
-//
-// The recorder is allocation-free on the hot path (fixed arrays, a fixed-capacity event ring) and
-// schedule-invariant: it never charges time, sends messages, or branches the runtime on its own
-// state, so recording on/off yields byte-identical schedules (like the trace recorder). The ring
-// doubles as the *flight recorder*: the last kRingCapacity wait events per node, dumped by the
-// fuzz driver when the coherence oracle flags a violation or a replay fails.
+// The recorder is allocation-free on the hot path and schedule-invariant: it never charges time,
+// sends messages, or branches the runtime on its own state. The ring doubles as the *flight
+// recorder*: the last kRingCapacity wait events per node, dumped by the fuzz driver when the
+// coherence oracle flags a violation or a replay fails.
 #ifndef DFIL_COMMON_WAITSTATE_H_
 #define DFIL_COMMON_WAITSTATE_H_
 
@@ -30,9 +27,9 @@
 
 namespace dfil {
 
-// Why a thread (or the node's scheduler) was waiting. Kinds map 1:1 onto the block reasons the
-// runtime sets before BlockCurrent, plus kRetransmit (an RTO stall observed by the transport) and
-// kIdle (a scheduler gap no wake ever claimed — e.g. the quiet tail after main finishes).
+// Why a thread (or the node's scheduler) was waiting. Every kind but kRetransmit is a block reason
+// the runtime sets before BlockCurrent; kRetransmit is an RTO stall observed by the transport, and
+// kIdle also covers a scheduler gap no wake ever claimed (e.g. the quiet tail after main finishes).
 enum class WaitKind : uint8_t {
   kPageFault = 0,  // filament blocked on a page fault; detail = page id
   kFetchDrain,     // sync-point drain of outstanding fetches / diff merges
@@ -92,32 +89,11 @@ class WaitStateRecorder {
   static constexpr size_t kRingCapacity = 256;
 
   void Record(WaitKind kind, uint64_t detail, SimTime start, SimTime end) {
-    totals_[static_cast<size_t>(kind)] += end - start;
     counts_[static_cast<size_t>(kind)]++;
     ring_[seen_ % kRingCapacity] = WaitEvent{kind, detail, start, end};
     seen_++;
   }
 
-  // The three clock ledgers (see file comment).
-  void AddRun(SimTime t) { run_ += t; }
-  void AddServe(SimTime t) { serve_ += t; }
-  // Scheduler-gap wait, attributed by the wake that ended it. Separate from Record so the
-  // node-level ledger is not double-counted when a thread-level event covers the same interval.
-  void AddWait(WaitKind kind, SimTime t) { waits_[static_cast<size_t>(kind)] += t; }
-
-  SimTime run_time() const { return run_; }
-  SimTime serve_time() const { return serve_; }
-  SimTime wait_time() const {
-    SimTime total = 0;
-    for (const SimTime t : waits_) {
-      total += t;
-    }
-    return total;
-  }
-  SimTime wait_time(WaitKind kind) const { return waits_[static_cast<size_t>(kind)]; }
-  // Thread-level blocked time by kind (may overlap across threads; the node-level ledger is
-  // wait_time()).
-  SimTime blocked_time(WaitKind kind) const { return totals_[static_cast<size_t>(kind)]; }
   uint64_t event_count(WaitKind kind) const { return counts_[static_cast<size_t>(kind)]; }
   uint64_t events_seen() const { return seen_; }
 
@@ -133,11 +109,7 @@ class WaitStateRecorder {
   }
 
  private:
-  std::array<SimTime, kNumWaitKinds> totals_{};
   std::array<uint64_t, kNumWaitKinds> counts_{};
-  std::array<SimTime, kNumWaitKinds> waits_{};
-  SimTime run_ = 0;
-  SimTime serve_ = 0;
   uint64_t seen_ = 0;
   std::array<WaitEvent, kRingCapacity> ring_{};
 };

@@ -242,9 +242,6 @@ std::vector<std::string> ClusterConfig::Validate() const {
       reject("balancer.balance_move_fraction must be in (0, 1] (got " +
              std::to_string(balancer.balance_move_fraction) + ")");
     }
-    if (!waitstate_enabled) {
-      reject("balancer requires waitstate_enabled: the wait-state ledgers are its load signal");
-    }
     if (barrier == BarrierKind::kDissemination) {
       reject("balancer requires a champion barrier (tournament or central): dissemination has "
              "no node that sees every sample");

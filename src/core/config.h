@@ -94,16 +94,10 @@ struct ClusterConfig {
   // export as Chrome trace-event JSON via RunReport::trace.
   bool trace_enabled = false;
 
-  // Wait-state accounting (common/waitstate.h): typed records for every blocked interval, the
-  // run/serve/wait clock ledgers, per-epoch metrics snapshots, and the flight-recorder ring.
-  // Never charges time or sends messages, so schedules are byte-identical on and off; on by
-  // default because every analysis layer (dfil_report critpath/blame, flight dumps) feeds on it.
+  // Inert: no code reads these. The time ledger, wait-state records and per-pool counters are
+  // always recorded (common/ledger.h). The fields remain only because the host-time benchmark
+  // (simspeed/workloads.cc) still sets them; the next change on the benchmark side deletes them.
   bool waitstate_enabled = true;
-
-  // Per-pool profiling (common/poolprof.h): splits the run ledger by the pool whose server
-  // thread held the processor, with fault / filament / migration counts per pool, exported as
-  // the "pools" section of dfil-metrics-v2. Never charges time or sends messages, so schedules
-  // are byte-identical on and off; on by default, like the wait-state recorder it refines.
   bool pool_profile_enabled = true;
 
   // Runaway guard for the virtual clock.
@@ -121,11 +115,11 @@ struct ClusterConfig {
   // Canonical 64-bit FNV-1a digest of every schedule-affecting knob (node count, cost model,
   // network, seed, effective fault plan, DSM/packet/coalesce/fork-join/balancer parameters).
   // Two runs with equal digests executed the same configuration; unequal digests name a real
-  // config difference. Observability knobs (trace_enabled, waitstate_enabled,
-  // pool_profile_enabled) are deliberately EXCLUDED — they never perturb the schedule, so runs
-  // stay provably comparable across instrumentation settings. Stamped into every metrics export
-  // as the "fingerprint.config" field; dfil_diff refuses to diff runs whose digests conceal a
-  // config change the user did not expect.
+  // config difference. trace_enabled and the two inert recorder fields are deliberately
+  // EXCLUDED — they never perturb the schedule, so runs stay provably comparable across
+  // instrumentation settings. Stamped into every metrics export as the "fingerprint.config"
+  // field; dfil_diff refuses to diff runs whose digests conceal a config change the user did
+  // not expect.
   uint64_t Digest() const;
   // Digest() as 16 lowercase hex digits (the JSON/provenance form).
   std::string DigestHex() const;

@@ -70,27 +70,34 @@ struct FnRollup {
   uint64_t migrated_in = 0;
 };
 
+// Calls f(pool, counters) in pool-id order for each pool that was given a filament (which binds
+// its fn) or ran; every other counter is only ever attributed to such a pool.
+template <typename F>
+void ForEachPool(const NodeReport& nr, F f) {
+  for (int pool = 0; pool < nr.ledger.num_pools(); ++pool) {
+    const PoolProfiler::Counters c = nr.poolprof.counters(pool);
+    if (c.fn >= 0 || nr.ledger.pool_run(pool) != 0) {
+      f(pool, c);
+    }
+  }
+}
+
 std::map<int, FnRollup> RollupByFn(const RunReport& report) {
   std::map<int, FnRollup> by_fn;
   for (const NodeReport& nr : report.nodes) {
-    for (const auto& [pool, lg] : nr.poolprof.pools()) {
-      FnRollup& r = by_fn[lg.fn];
-      r.run += lg.run;
-      r.blocked += lg.blocked;
-      r.faults += lg.faults;
-      r.filaments_run += lg.filaments_run;
-      r.migrated_in += lg.migrated_in;
-    }
+    ForEachPool(nr, [&](int pool, const PoolProfiler::Counters& c) {
+      FnRollup& r = by_fn[c.fn];
+      r.run += nr.ledger.pool_run(pool);
+      r.blocked += c.blocked;
+      r.faults += c.faults;
+      r.filaments_run += c.filaments_run;
+      r.migrated_in += c.migrated_in;
+    });
     FnRollup& other = by_fn[-1];
-    other.run += nr.poolprof.other_run();
-    other.serve += nr.waits.serve_time();
+    other.run += nr.ledger.other_run();
+    other.serve += nr.ledger.serve_time();
   }
   return by_fn;
-}
-
-bool PoolProfilingOn(const RunReport& report) {
-  const auto it = report.provenance.find("pool_profile");
-  return it != report.provenance.end() && it->second == "on";
 }
 
 std::string ProvenanceOr(const std::map<std::string, std::string>& provenance,
@@ -132,21 +139,17 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
     first = false;
   }
   os << "\n    },\n    \"pools_by_fn\": [";
-  if (PoolProfilingOn(report)) {
-    first = true;
-    for (const auto& [fn, r] : RollupByFn(report)) {
-      os << (first ? "\n" : ",\n") << "      {\"fn\": " << fn
-         << ", \"run_us\": " << ToMicroseconds(r.run)
-         << ", \"blocked_us\": " << ToMicroseconds(r.blocked)
-         << ", \"serve_us\": " << ToMicroseconds(r.serve) << ", \"faults\": " << r.faults
-         << ", \"filaments_run\": " << r.filaments_run << ", \"migrated_in\": " << r.migrated_in
-         << "}";
-      first = false;
-    }
-    os << (first ? "]" : "\n    ]");
-  } else {
-    os << "]";
+  first = true;
+  for (const auto& [fn, r] : RollupByFn(report)) {
+    os << (first ? "\n" : ",\n") << "      {\"fn\": " << fn
+       << ", \"run_us\": " << ToMicroseconds(r.run)
+       << ", \"blocked_us\": " << ToMicroseconds(r.blocked)
+       << ", \"serve_us\": " << ToMicroseconds(r.serve) << ", \"faults\": " << r.faults
+       << ", \"filaments_run\": " << r.filaments_run << ", \"migrated_in\": " << r.migrated_in
+       << "}";
+    first = false;
   }
+  os << (first ? "]" : "\n    ]");
   os << "\n  },\n  \"per_node\": [";
   for (size_t i = 0; i < report.nodes.size(); ++i) {
     const NodeReport& nr = report.nodes[i];
@@ -157,15 +160,15 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
     for (size_t c = 0; c < kNumTimeCategories; ++c) {
       const auto cat = static_cast<TimeCategory>(c);
       os << (c == 0 ? "" : ", ") << "\"" << TimeCategoryName(cat)
-         << "\": " << ToMicroseconds(nr.breakdown.Get(cat));
+         << "\": " << ToMicroseconds(nr.ledger.figure10(cat));
     }
-    os << "},\n      \"run_us\": " << ToMicroseconds(nr.waits.run_time())
-       << ",\n      \"serve_us\": " << ToMicroseconds(nr.waits.serve_time())
+    os << "},\n      \"run_us\": " << ToMicroseconds(nr.ledger.run_time())
+       << ",\n      \"serve_us\": " << ToMicroseconds(nr.ledger.serve_time())
        << ",\n      \"wait_us\": {";
     for (size_t k = 0; k < kNumWaitKinds; ++k) {
       const auto kind = static_cast<WaitKind>(k);
       os << (k == 0 ? "" : ", ") << "\"" << WaitKindName(kind)
-         << "\": " << ToMicroseconds(nr.waits.wait_time(kind));
+         << "\": " << ToMicroseconds(nr.ledger.wait_time(kind));
     }
     os << "},\n      \"wait_events\": {";
     for (size_t k = 0; k < kNumWaitKinds; ++k) {
@@ -174,27 +177,20 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
          << "\": " << nr.waits.event_count(kind);
     }
     os << "},\n      \"pools\": [";
-    if (PoolProfilingOn(report)) {
-      bool first_pool = true;
-      for (const auto& [pool, lg] : nr.poolprof.pools()) {
-        os << (first_pool ? "\n" : ",\n") << "        {\"pool\": " << pool
-           << ", \"fn\": " << lg.fn << ", \"run_us\": " << ToMicroseconds(lg.run)
-           << ", \"blocked_us\": " << ToMicroseconds(lg.blocked)
-           << ", \"serve_us\": 0, \"faults\": " << lg.faults
-           << ", \"filaments_run\": " << lg.filaments_run << ", \"migrated_in\": " << lg.migrated_in
-           << "}";
-        first_pool = false;
-      }
-      // Residual row: run time outside any pool (main/sync/balancer code) plus all handler serve
-      // time. With it, sum(run_us)+sum(serve_us) over rows equals this node's run_us+serve_us.
-      os << (first_pool ? "\n" : ",\n") << "        {\"pool\": -1, \"fn\": -1, \"run_us\": "
-         << ToMicroseconds(nr.poolprof.other_run())
-         << ", \"blocked_us\": 0, \"serve_us\": " << ToMicroseconds(nr.waits.serve_time())
-         << ", \"faults\": 0, \"filaments_run\": 0, \"migrated_in\": 0}";
-      os << "\n      ]";
-    } else {
-      os << "]";
-    }
+    ForEachPool(nr, [&](int pool, const PoolProfiler::Counters& c) {
+      os << "\n        {\"pool\": " << pool << ", \"fn\": " << c.fn
+         << ", \"run_us\": " << ToMicroseconds(nr.ledger.pool_run(pool))
+         << ", \"blocked_us\": " << ToMicroseconds(c.blocked)
+         << ", \"serve_us\": 0, \"faults\": " << c.faults
+         << ", \"filaments_run\": " << c.filaments_run << ", \"migrated_in\": " << c.migrated_in
+         << "},";
+    });
+    // Residual row: run time outside any pool (main/sync/balancer code) plus all handler serve
+    // time. With it, sum(run_us)+sum(serve_us) over rows equals this node's run_us+serve_us.
+    os << "\n        {\"pool\": -1, \"fn\": -1, \"run_us\": "
+       << ToMicroseconds(nr.ledger.other_run())
+       << ", \"blocked_us\": 0, \"serve_us\": " << ToMicroseconds(nr.ledger.serve_time())
+       << ", \"faults\": 0, \"filaments_run\": 0, \"migrated_in\": 0}\n      ]";
     os << ",\n      \"epochs\": [";
     const auto& epochs = nr.metrics.epochs();
     for (size_t e = 0; e < epochs.size(); ++e) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/common/intrusive_list.h"
+#include "src/common/ledger.h"
 #include "src/common/metrics.h"
 #include "src/common/poolprof.h"
 #include "src/common/stats.h"
@@ -125,20 +126,19 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   // Live histograms and runtime counters; flattened with the stats structs by metrics_io.
   MetricsRegistry& metrics() override { return metrics_; }
 
-  // Wait-state ledgers and the flight-recorder ring (common/waitstate.h). Only meaningful when
-  // ClusterConfig::waitstate_enabled; the recorder stays zeroed otherwise.
+  // The node's time ledger (common/ledger.h): Figure 10, run/serve/wait and per-pool run are
+  // views of it.
+  const TimeLedger& ledger() const { return ledger_; }
+  // Blocked-interval records and the flight-recorder ring (common/waitstate.h).
   const WaitStateRecorder& waitstate() const { return waitstate_; }
   void RecordWait(WaitKind kind, uint64_t detail, SimTime from, SimTime to) override {
-    if (ws_on_) {
-      waitstate_.Record(kind, detail, from, to);
-    }
+    waitstate_.Record(kind, detail, from, to);
   }
-  // Folds the still-unclassified trailing scheduler gap into the idle wait ledger, making
-  // run + serve + wait equal the final clock exactly. Called once by Cluster::Run at the end.
-  void FinalizeWaitstate();
+  // Books the still-unclassified trailing scheduler gap as the ledger's tail, making the ledger
+  // total equal the final clock exactly. Called once by Cluster::Run at the end.
+  void FinalizeLedger();
 
-  // Per-pool run/blocked/fault attribution (common/poolprof.h). Stays empty unless
-  // ClusterConfig::pool_profile_enabled.
+  // Per-pool blocked/fault/filament counters and fn ids (common/poolprof.h).
   const PoolProfiler& poolprof() const { return poolprof_; }
 
   // --- Accessors ---
@@ -152,7 +152,6 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   FjEngine& fj() { return *fj_; }
   threads::ThreadSystem& threads() { return threads_; }
 
-  TimeBreakdown& breakdown() { return breakdown_; }
   FilamentStats& fil_stats() { return fil_stats_; }
   SimTime main_finished_at() const { return main_finished_at_; }
 
@@ -163,9 +162,8 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   // Charge() helper: returns to the machine so a due event can dispatch; resumes afterwards.
   void YieldForEvent();
 
-  // Wake-time accounting shared by WakeAtFront/WakeAtTail: classifies the pending scheduler gap
-  // (Figure-10 breakdown + wait-state ledger) and emits the woken thread's blocked-interval
-  // record.
+  // Wake-time accounting shared by WakeAtFront/WakeAtTail: books the pending scheduler gap under
+  // the woken thread's wait kind and records its blocked interval.
   void AccountWake(threads::ServerThread* t);
 
   // Blocks the current thread until there are no outstanding page fetches (paper §3: nodes delay
@@ -242,14 +240,10 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
 
   NodeTracer tracer_;
   MetricsRegistry metrics_;
-  TimeBreakdown breakdown_;
   FilamentStats fil_stats_;
 
-  // Wait-state accounting (no-ops unless config.waitstate_enabled).
-  bool ws_on_ = false;
+  TimeLedger ledger_;
   WaitStateRecorder waitstate_;
-  // Per-pool attribution (no-ops unless config.pool_profile_enabled).
-  bool pp_on_ = false;
   PoolProfiler poolprof_;
   // Prior-epoch counter snapshot, so Reduce can record per-epoch deltas.
   struct EpochBase {

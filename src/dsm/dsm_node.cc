@@ -285,7 +285,7 @@ void DsmNode::FaultAndWait(PageId page, AccessMode mode) {
     tracer()->Flow(kFlowStart, "dsm", FlowName(page), e.trace_id);
   }
   t->set_state(threads::ThreadState::kBlocked);
-  t->set_block_reason("page " + std::to_string(page));
+  t->set_block_reason(WaitKind::kPageFault, page);
   e.waiters.PushBack(t);
   host_->BlockCurrent();
   host_->metrics().Hist("dsm.fault_wait_us").Record(ToMicroseconds(host_->Clock() - blocked_at));

@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
+#include "src/common/waitstate.h"
 #include "src/threads/context.h"
 #include "src/threads/stack.h"
 
@@ -40,9 +40,15 @@ class ServerThread {
   ThreadState state() const { return state_; }
   void set_state(ThreadState s) { state_ = s; }
 
-  // Why the thread is blocked; used for deadlock reports and idle-gap accounting.
-  const std::string& block_reason() const { return block_reason_; }
-  void set_block_reason(std::string reason) { block_reason_ = std::move(reason); }
+  // Why the thread is blocked, and the kind-specific cause (page id, barrier epoch, service
+  // number; 0 when the kind carries none). Read at wake to classify the scheduler gap and record
+  // the blocked interval, and by deadlock reports.
+  WaitKind block_kind() const { return block_kind_; }
+  uint64_t block_detail() const { return block_detail_; }
+  void set_block_reason(WaitKind kind, uint64_t detail = 0) {
+    block_kind_ = kind;
+    block_detail_ = detail;
+  }
 
   // Virtual time at which the thread last suspended in BlockCurrent; paired with the block
   // reason at wake to produce the typed wait-state record for the blocked interval. -1 between
@@ -65,7 +71,8 @@ class ServerThread {
 
   uint64_t id_ = 0;
   ThreadState state_ = ThreadState::kReady;
-  std::string block_reason_;
+  WaitKind block_kind_ = WaitKind::kIdle;
+  uint64_t block_detail_ = 0;
   int64_t blocked_since_ = -1;
   int profile_pool_ = -1;
   Context context_;

@@ -23,8 +23,8 @@ TEST(AccountingTest, BusySingleNodeIsFullyAttributed) {
   });
   ASSERT_TRUE(r.completed);
   // A node that never idles has every nanosecond attributed to a category.
-  EXPECT_EQ(r.nodes[0].breakdown.Total(), r.nodes[0].finished_at);
-  EXPECT_EQ(r.nodes[0].breakdown.Get(TimeCategory::kWork), Seconds(1.0));
+  EXPECT_EQ(r.nodes[0].ledger.figure10_total(), r.nodes[0].finished_at);
+  EXPECT_EQ(r.nodes[0].ledger.figure10(TimeCategory::kWork), Seconds(1.0));
 }
 
 TEST(AccountingTest, BreakdownNeverExceedsFinishTime) {
@@ -45,8 +45,8 @@ TEST(AccountingTest, BreakdownNeverExceedsFinishTime) {
   for (const auto& nr : r.nodes) {
     // Charged + classified-idle time can never exceed the node's total run time; any shortfall is
     // an unclassified tail gap (the node finished before a final wake).
-    EXPECT_LE(nr.breakdown.Total(), nr.finished_at);
-    EXPECT_GT(nr.breakdown.Total(), 0);
+    EXPECT_LE(nr.ledger.figure10_total(), nr.finished_at);
+    EXPECT_GT(nr.ledger.figure10_total(), 0);
   }
 }
 
@@ -61,8 +61,8 @@ TEST(AccountingTest, SyncDelayCapturesBarrierSkew) {
     env.Barrier();
   });
   ASSERT_TRUE(r.completed);
-  EXPECT_GE(r.nodes[0].breakdown.Get(TimeCategory::kSyncDelay), Milliseconds(40.0));
-  EXPECT_LT(r.nodes[1].breakdown.Get(TimeCategory::kSyncDelay), Milliseconds(10.0));
+  EXPECT_GE(r.nodes[0].ledger.figure10(TimeCategory::kSyncDelay), Milliseconds(40.0));
+  EXPECT_LT(r.nodes[1].ledger.figure10(TimeCategory::kSyncDelay), Milliseconds(10.0));
 }
 
 TEST(AccountingTest, WorkChargesAreIdenticalAcrossVariants) {
@@ -79,10 +79,10 @@ TEST(AccountingTest, WorkChargesAreIdenticalAcrossVariants) {
   apps::AppRun df = apps::RunJacobiDf(p, four);
   ASSERT_TRUE(seq.report.completed);
   ASSERT_TRUE(df.report.completed);
-  SimTime seq_work = seq.report.nodes[0].breakdown.Get(TimeCategory::kWork);
+  SimTime seq_work = seq.report.nodes[0].ledger.figure10(TimeCategory::kWork);
   SimTime df_work = 0;
   for (const auto& nr : df.report.nodes) {
-    df_work += nr.breakdown.Get(TimeCategory::kWork);
+    df_work += nr.ledger.figure10(TimeCategory::kWork);
   }
   // Identical point updates => identical total work (init loop overhead differs slightly).
   EXPECT_NEAR(static_cast<double>(df_work) / static_cast<double>(seq_work), 1.0, 0.01);

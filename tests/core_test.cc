@@ -460,7 +460,7 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalTraces) {
   EXPECT_EQ(a.net.messages_sent, b.net.messages_sent);
   for (int n = 0; n < 4; ++n) {
     EXPECT_EQ(a.nodes[n].dsm.read_faults, b.nodes[n].dsm.read_faults);
-    EXPECT_EQ(a.nodes[n].breakdown.Total(), b.nodes[n].breakdown.Total());
+    EXPECT_EQ(a.nodes[n].ledger.figure10_total(), b.nodes[n].ledger.figure10_total());
   }
 }
 

@@ -57,7 +57,6 @@ ClusterConfig BaseConfig() {
   ClusterConfig cfg;
   cfg.nodes = kNodes;
   cfg.seed = 7;
-  cfg.waitstate_enabled = true;
   return cfg;
 }
 
@@ -171,8 +170,8 @@ TEST(BalancerOffTest, KnobValuesAreInertWhileDisabled) {
 }
 
 TEST(BalancerOffTest, WaitstateAccountingNeverMovesTheSchedule) {
-  // The ledgers the balancer reads must be pure observation: flipping waitstate_enabled with
-  // the balancer off changes no clock and sends no message.
+  // The ledger the balancer reads is pure observation, and waitstate_enabled is inert: flipping
+  // it with the balancer off changes no clock and sends no message.
   ClusterConfig on = BaseConfig();
   ClusterConfig off = BaseConfig();
   off.waitstate_enabled = false;
@@ -335,13 +334,6 @@ TEST(BalancerValidateTest, RejectsDisseminationBarrier) {
   cfg.barrier = ClusterConfig::BarrierKind::kDissemination;
   EXPECT_TRUE(AnyErrorMentions(cfg.Validate(), "champion"))
       << "dissemination has no champion to aggregate the samples";
-}
-
-TEST(BalancerValidateTest, RejectsBalancerWithoutWaitstate) {
-  ClusterConfig cfg = BaseConfig();
-  EnableBalancer(cfg);
-  cfg.waitstate_enabled = false;
-  EXPECT_TRUE(AnyErrorMentions(cfg.Validate(), "waitstate_enabled"));
 }
 
 TEST(BalancerValidateTest, RejectsOutOfRangeKnobs) {
