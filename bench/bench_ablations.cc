@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       std::printf("%-34s %8.2f s (medium busy %.2f s)\n", net.name, run.seconds(),
                   ToSeconds(run.report.medium_busy));
       if (&net == nets) {
-        bench::EmitMetrics(run.report, "ablations_ethernet8", &args, "jacobi");
+        bench::EmitMetrics(run.report, "ablations_ethernet8", &args, apps::AppIdentity(p));
       }
       jr.AddRow()
           .Set("ablation", 1)

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(d.implicit_invalidations),
                   static_cast<unsigned long long>(d.invalidations_sent),
                   static_cast<unsigned long long>(d.read_faults));
-      bench::EmitMetrics(df.report, "jacobi_df8", &args, "jacobi");
+      bench::EmitMetrics(df.report, "jacobi_df8", &args, apps::AppIdentity(p));
     }
   }
   bench::PrintSpeedupTable(rows);

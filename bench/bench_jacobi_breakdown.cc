@@ -79,6 +79,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(df.report.nodes[n].dsm.page_requests_served));
   }
   jr.Write();
-  bench::EmitMetrics(df.report, "jacobi_breakdown8", &args, "jacobi");
+  bench::EmitMetrics(df.report, "jacobi_breakdown8", &args, apps::AppIdentity(p));
   return 0;
 }

@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
                   }
                   return total;
                 }()));
-    bench::EmitMetrics(run.report, mr.label, &args, "jacobi");
+    bench::EmitMetrics(run.report, mr.label, &args, apps::AppIdentity(p));
     bench::EmitTrace(run.report, mr.label);
   }
 
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
               100.0 * (static_cast<double>(co_dgrams) - static_cast<double>(plain_dgrams)) /
                   static_cast<double>(plain_dgrams),
               co.seconds(), plain.seconds());
-  bench::EmitMetrics(co.report, "jacobi_ii8_co", &args, "jacobi");
+  bench::EmitMetrics(co.report, "jacobi_ii8_co", &args, apps::AppIdentity(cp));
   DFIL_CHECK(co_dgrams * 10 <= plain_dgrams * 7)
       << "coalescing sent " << co_dgrams << " datagrams vs " << plain_dgrams
       << " plain (< 30% reduction)";

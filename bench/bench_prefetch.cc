@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
             .Set("message_reduction_pct", msg_cut)
             .Set("time_reduction_pct", time_cut);
         if (pcp == dsm::Pcp::kImplicitInvalidate && nodes == 8 && m.detector && m.hints) {
-          bench::EmitMetrics(df.report, "prefetch_ii8", &args, "jacobi");
+          bench::EmitMetrics(df.report, "prefetch_ii8", &args, apps::AppIdentity(p));
         }
       }
     }

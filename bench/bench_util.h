@@ -196,15 +196,6 @@ class JsonReport {
   std::vector<Row> rows_;
 };
 
-inline bool QuickMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") {
-      return true;
-    }
-  }
-  return false;
-}
-
 inline void Header(const std::string& title) {
   std::printf("\n================================================================================\n");
   std::printf("%s\n", title.c_str());
@@ -273,9 +264,10 @@ inline std::map<std::string, std::string> ProvenanceOf(const BenchArgs& args) {
 // input to tools/dfil_report and the CI regression gate) and, when the run was traced,
 // TRACE_<label>.json (Chrome trace-event JSON for Perfetto / chrome://tracing).
 //
-// `app` is the program identity stamped into the run fingerprint ("jacobi", "false_sharing", ...)
-// so dfil_diff can tell A/B runs of the same program apart from unrelated runs even when labels
-// differ (jacobi_wi8 vs jacobi_ii8 share app "jacobi"). Empty = fall back to the label.
+// `app` is the program identity stamped into the run fingerprint ("false_sharing", or
+// apps::AppIdentity's "jacobi n=256 iterations=60 pools=3", ...) so dfil_diff can tell A/B runs
+// of the same program apart from unrelated runs even when labels differ (jacobi_wi8 and
+// jacobi_ii8 share an app). Empty = fall back to the label.
 inline void EmitMetrics(const core::RunReport& report, const std::string& label,
                         const BenchArgs* args = nullptr, const std::string& app = "") {
   std::map<std::string, std::string> extra =

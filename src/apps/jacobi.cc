@@ -65,6 +65,11 @@ void PointFilament(NodeEnv& env, int64_t i, int64_t j, int64_t) {
 
 }  // namespace
 
+std::string AppIdentity(const JacobiParams& p) {
+  return "jacobi n=" + std::to_string(p.n) + " iterations=" + std::to_string(p.iterations) +
+         " pools=" + std::to_string(p.pools);
+}
+
 AppRun RunJacobiSeq(const JacobiParams& p, const ClusterConfig& base) {
   ClusterConfig cfg = base;
   cfg.nodes = 1;

@@ -9,6 +9,8 @@
 #ifndef DFIL_APPS_JACOBI_H_
 #define DFIL_APPS_JACOBI_H_
 
+#include <string>
+
 #include "src/apps/common.h"
 
 namespace dfil::apps {
@@ -21,6 +23,10 @@ struct JacobiParams {
   // profiles the first sweep and clusters filaments by faulted page automatically.
   int pools = 3;
 };
+
+// The program identity benches stamp into the run fingerprint: the problem parameters, so
+// dfil_diff refuses to compare runs of different sizes, iteration counts or pool layouts.
+std::string AppIdentity(const JacobiParams& p);
 
 AppRun RunJacobiSeq(const JacobiParams& p, const core::ClusterConfig& base);
 AppRun RunJacobiCg(const JacobiParams& p, const core::ClusterConfig& base);

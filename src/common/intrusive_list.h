@@ -48,19 +48,6 @@ class IntrusiveList {
     return item;
   }
 
-  // Removes and returns the last element, or nullptr if empty.
-  T* PopBack() {
-    if (empty()) {
-      return nullptr;
-    }
-    T* item = FromNode(head_.prev);
-    Remove(item);
-    return item;
-  }
-
-  T* Front() const { return empty() ? nullptr : FromNode(head_.next); }
-  T* Back() const { return empty() ? nullptr : FromNode(head_.prev); }
-
   // Unlinks `item`, which must currently be on this list.
   void Remove(T* item) {
     ListNode* node = &(item->*Member);
@@ -70,19 +57,6 @@ class IntrusiveList {
     node->prev = nullptr;
     node->next = nullptr;
     --size_;
-  }
-
-  bool Contains(const T* item) const { return (item->*Member).linked(); }
-
-  // Iterates in order; `fn` must not modify the list except by removing the current element.
-  template <typename Fn>
-  void ForEach(Fn&& fn) {
-    ListNode* node = head_.next;
-    while (node != &head_) {
-      ListNode* next = node->next;
-      fn(FromNode(node));
-      node = next;
-    }
   }
 
  private:

@@ -59,8 +59,6 @@ struct MessageStats {
   uint64_t messages_duplicated = 0;  // injected duplicate deliveries
   uint64_t messages_delayed = 0;     // deliveries given injected extra latency
   uint64_t stall_deferrals = 0;      // deliveries deferred past a receiver stall window
-
-  void Reset() { *this = MessageStats{}; }
 };
 
 // Counter tables. Each stats struct below declares its counters once, one X(name) entry per

@@ -7,12 +7,9 @@ namespace dfil::core {
 namespace {
 
 // Canonical serialization sink for ClusterConfig::Digest(): appends "key=value;" pairs and
-// FNV-1a-hashes the resulting byte stream. Field ORDER and NAMES are part of the digest contract
-// — appending new fields at the end changes the digest for configs that set them away from the
-// hash of their textual default, which is exactly the desired behaviour (a new schedule-affecting
-// knob makes old and new runs provably non-comparable only when it actually differs... but since
-// the serialization always includes every field, ANY addition rolls the digest; dfil_diff treats
-// that as a config difference and says so).
+// FNV-1a-hashes the resulting byte stream. Field ORDER and NAMES are part of the digest contract:
+// every field is always serialized, so adding, removing or renaming one rolls every digest once,
+// and dfil_diff reports that as a config difference.
 class DigestWriter {
  public:
   void Field(const char* key, uint64_t v) { Append(key, std::to_string(v)); }
@@ -80,8 +77,6 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("seed", seed);
   w.Field("page_shift", page_shift);
   w.Field("wake_at_front", wake_at_front);
-  w.Field("max_server_threads", max_server_threads);
-  w.Field("stack_bytes", stack_bytes);
   w.Field("reliable_broadcast", reliable_broadcast);
   w.Field("barrier", static_cast<int>(barrier));
   w.Field("max_virtual_time", max_virtual_time);
@@ -112,9 +107,6 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("cost.frame_overhead_bytes", c.frame_overhead_bytes);
   w.Field("cost.min_frame_bytes", c.min_frame_bytes);
   w.Field("cost.propagation_delay", c.propagation_delay);
-  w.Field("cost.retransmit_timeout", c.retransmit_timeout);
-  w.Field("cost.retransmit_timeout_max", c.retransmit_timeout_max);
-  w.Field("cost.retransmit_limit", c.retransmit_limit);
   w.Field("cost.matmul_mac", c.matmul_mac);
   w.Field("cost.jacobi_point", c.jacobi_point);
   w.Field("cost.quad_feval", c.quad_feval);
@@ -125,9 +117,6 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("dsm.mirage_window", dsm.mirage_window);
   w.Field("dsm.prefetch_detector", dsm.prefetch_detector);
   w.Field("dsm.prefetch_hints", dsm.prefetch_hints);
-  w.Field("dsm.prefetch_min_run", dsm.prefetch_min_run);
-  w.Field("dsm.prefetch_degree", dsm.prefetch_degree);
-  w.Field("dsm.max_bulk_pages", dsm.max_bulk_pages);
   w.Field("dsm.adapt_protocols", dsm.adapt_protocols);
   w.Field("dsm.adapt_to_diff_threshold", dsm.adapt_to_diff_threshold);
   w.Field("dsm.adapt_calm_epochs", dsm.adapt_calm_epochs);
@@ -136,24 +125,12 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("packet.retransmit_timeout_max", packet.retransmit_timeout_max);
   w.Field("packet.rto_min", packet.rto_min);
   w.Field("packet.retransmit_limit", packet.retransmit_limit);
-  w.Field("packet.response_cache_timeouts", packet.response_cache_timeouts);
   w.Field("packet.ack_replies", packet.ack_replies);
 
   w.Field("coalesce.enabled", coalesce.enabled);
-  w.Field("coalesce.max_datagram_bytes", coalesce.max_datagram_bytes);
-  w.Field("coalesce.request_hold", coalesce.request_hold);
-  w.Field("coalesce.ack_hold", coalesce.ack_hold);
-  w.Field("coalesce.mutual_window", coalesce.mutual_window);
-  w.Field("coalesce.hold_requests", coalesce.hold_requests);
-  w.Field("coalesce.sync_batch", coalesce.sync_batch);
-  w.Field("coalesce.elide_reduce_replies", coalesce.elide_reduce_replies);
-  w.Field("coalesce.elided_ack_timeout", coalesce.elided_ack_timeout);
 
   w.Field("fj.steal_enabled", fj.steal_enabled);
   w.Field("fj.prune_threshold", fj.prune_threshold);
-  w.Field("fj.steal_min_surplus", fj.steal_min_surplus);
-  w.Field("fj.steal_retry", fj.steal_retry);
-  w.Field("fj.steal_grace", fj.steal_grace);
 
   w.Field("balancer.enabled", balancer.enabled);
   w.Field("balancer.balance_trigger_ratio", balancer.balance_trigger_ratio);
@@ -165,7 +142,10 @@ uint64_t ClusterConfig::Digest() const {
   const sim::FaultPlan plan = EffectiveFaultPlan();
   w.Field("fault.seed", plan.seed);
   w.Field("fault.loss_rate", plan.loss_rate);
-  w.Field("fault.burst", plan.burst.enabled());
+  w.Field("fault.burst.p_good_to_bad", plan.burst.p_good_to_bad);
+  w.Field("fault.burst.p_bad_to_good", plan.burst.p_bad_to_good);
+  w.Field("fault.burst.loss_good", plan.burst.loss_good);
+  w.Field("fault.burst.loss_bad", plan.burst.loss_bad);
   w.Field("fault.rules", plan.rules.size());
   for (const sim::FaultRule& rule : plan.rules) {
     w.Field("rule.src", static_cast<int64_t>(rule.src));
@@ -181,6 +161,12 @@ uint64_t ClusterConfig::Digest() const {
     w.Field("rule.delay_max", rule.delay_max);
   }
   w.Field("fault.stalls", plan.stalls.size());
+  for (const sim::StallSpec& stall : plan.stalls) {
+    w.Field("stall.node", static_cast<int64_t>(stall.node));
+    w.Field("stall.first", stall.first);
+    w.Field("stall.period", stall.period);
+    w.Field("stall.duration", stall.duration);
+  }
   return w.hash();
 }
 
@@ -203,9 +189,6 @@ std::vector<std::string> ClusterConfig::Validate() const {
     reject("page_shift must be in [6, 20] (got " + std::to_string(page_shift) +
            "); pages below 64 B thrash the directory, above 1 MB defeat fine-grain sharing");
   }
-  if (max_server_threads < 1) {
-    reject("max_server_threads must be >= 1 (got " + std::to_string(max_server_threads) + ")");
-  }
 
   const sim::FaultPlan plan = EffectiveFaultPlan();
   if (!InUnitInterval(plan.loss_rate)) {
@@ -215,16 +198,6 @@ std::vector<std::string> ClusterConfig::Validate() const {
   if (PlanCanDropFrames(plan) && !reliable_broadcast) {
     reject("reliable_broadcast is required when the fault plan can drop frames: a lost done "
            "broadcast hangs every barrier");
-  }
-
-  if (coalesce.enabled) {
-    if (coalesce.max_datagram_bytes < 256) {
-      reject("coalesce.max_datagram_bytes must be >= 256 (got " +
-             std::to_string(coalesce.max_datagram_bytes) + "); smaller than any single frame");
-    }
-    if (coalesce.request_hold < 0 || coalesce.ack_hold < 0 || coalesce.mutual_window < 0) {
-      reject("coalesce hold windows must be non-negative");
-    }
   }
 
   if (balancer.enabled) {

@@ -12,7 +12,6 @@
 #include "src/net/packet.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/fault_plan.h"
-#include "src/threads/context.h"
 
 namespace dfil::dsm {
 class CoherenceOracle;
@@ -25,16 +24,17 @@ enum class NetworkKind {
   kSwitched,        // ablation: full-duplex point-to-point
 };
 
-// Fork/join knobs, grouped (they travel together: every engine site reads several at once).
+// Fork/join knobs (the steal retry and grace intervals are constants in forkjoin.cc).
 struct ForkJoinConfig {
   bool steal_enabled = true;  // receiver-initiated dynamic load balancing
   int prune_threshold = 4;    // local queue depth at which forks become procedure calls
-  int steal_min_surplus = 1;  // a victim gives queued work whenever it has any
-  SimTime steal_retry = Milliseconds(4.0);   // idle re-poll interval after a full denial round
-  SimTime steal_grace = Milliseconds(50.0);  // nodes may steal this long after start even if the
-                                             // distribution tree never reached them
 };
 
+// Tuning values that no bench, app, example or tool varies are not settable here: they are named
+// constants next to the code that reads them, each with its reason — the server-thread guard
+// (node_runtime.cc), the steal intervals (forkjoin.cc), the prefetch detector and bulk cap
+// (dsm_node.cc), the coalescing MTU and hold windows (packet.cc, DESIGN.md §11) and the
+// response-cache lifetime (packet.h). Stacks and the context backend are threads:: defaults.
 struct ClusterConfig {
   int nodes = 8;
   sim::CostModel costs = sim::CostModel::SunIpcEthernet();
@@ -64,11 +64,6 @@ struct ClusterConfig {
   // the iterative fault-frontloading optimization (paper §2.2); the front placement is the
   // fork/join anti-thrashing mechanism (paper §2.3).
   bool wake_at_front = false;
-
-  // Server threads.
-  int max_server_threads = 128;
-  size_t stack_bytes = 256 * 1024;
-  threads::ContextBackend backend = threads::DefaultContextBackend();
 
   // Fork/join.
   ForkJoinConfig fj;
@@ -113,7 +108,8 @@ struct ClusterConfig {
   std::vector<std::string> Validate() const;
 
   // Canonical 64-bit FNV-1a digest of every schedule-affecting knob (node count, cost model,
-  // network, seed, effective fault plan, DSM/packet/coalesce/fork-join/balancer parameters).
+  // network, seed, DSM/packet/coalesce/fork-join/balancer parameters, and the effective fault
+  // plan in full: burst-loss parameters, every rule and every stall).
   // Two runs with equal digests executed the same configuration; unequal digests name a real
   // config difference. trace_enabled and the two inert recorder fields are deliberately
   // EXCLUDED — they never perturb the schedule, so runs stay provably comparable across

@@ -10,6 +10,11 @@
 namespace dfil::core {
 namespace {
 
+// Idle re-poll interval after a full denial round (doubled per further round, up to 16x).
+constexpr SimTime kStealRetry = Milliseconds(4.0);
+// Nodes may steal this long after start even if the distribution tree never reached them.
+constexpr SimTime kStealGrace = Milliseconds(50.0);
+
 struct ShipBody {
   uint64_t fn;
   FjArgs args;
@@ -39,7 +44,7 @@ void FjEngine::RegisterServices() {
         queue_.push_back(Task{reinterpret_cast<FjFn>(ship.fn), ship.args, ship.origin,
                               ship.cell_addr});
         got_first_work_ = true;
-        steal_backoff_ = rt_->config().fj.steal_retry;  // fresh work: poll eagerly again
+        steal_backoff_ = kStealRetry;  // fresh work: poll eagerly again
         EnsureWorkerForQueue();
         return net::Payload{};
       },
@@ -55,11 +60,7 @@ void FjEngine::RegisterServices() {
         DFIL_CHECK(!cell->done) << "join cell completed twice";
         cell->result = res.result;
         cell->done = true;
-        if (cell->waiter != nullptr) {
-          threads::ServerThread* t = cell->waiter;
-          cell->waiter = nullptr;
-          rt_->WakeAtTail(t);  // FIFO: the front slot is reserved for page-arrival wakes
-        }
+        rt_->WakeWaiter(cell->waiter);  // FIFO: the front slot is reserved for page-arrival wakes
         return net::Payload{};
       },
       /*idempotent=*/false);
@@ -74,8 +75,8 @@ void FjEngine::RegisterServices() {
         rt_->fil_stats().steals_attempted_on_us++;
         last_steal_demand_ = rt_->Clock();
         net::WireWriter w;
-        if (phase_active_ && !terminated_ &&
-            queue_.size() >= static_cast<size_t>(rt_->config().fj.steal_min_surplus)) {
+        // A victim gives queued work whenever it has any.
+        if (phase_active_ && !terminated_ && !queue_.empty()) {
           Task task = queue_.front();  // oldest = coarsest work
           queue_.pop_front();
           w.Put(uint8_t{1});
@@ -136,8 +137,8 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
   ship_next_ = true;
   got_first_work_ = rt_->id() == 0;
   next_victim_ = (rt_->id() + 1) % rt_->config().nodes;
-  steal_allowed_at_ = rt_->Clock() + rt_->config().fj.steal_grace;
-  steal_backoff_ = rt_->config().fj.steal_retry;
+  steal_allowed_at_ = rt_->Clock() + kStealGrace;
+  steal_backoff_ = kStealRetry;
   last_steal_demand_ = rt_->Clock() - Seconds(1.0);
   ComputeTreeChildren();
 
@@ -287,12 +288,12 @@ void FjEngine::WorkerLoop(bool is_main) {
     }
     if (CanStealNow()) {
       if (TrySteal()) {
-        steal_backoff_ = rt_->config().fj.steal_retry;
+        steal_backoff_ = kStealRetry;
         continue;
       }
       // Full denial round: back off so the busy nodes are not flooded with hopeless polls (the
       // paper's §4.3 observation about load-balance denials).
-      steal_backoff_ = std::min<SimTime>(steal_backoff_ * 2, rt_->config().fj.steal_retry * 16);
+      steal_backoff_ = std::min<SimTime>(steal_backoff_ * 2, kStealRetry * 16);
     }
     if (terminated_) {
       return;
@@ -329,11 +330,7 @@ void FjEngine::Deliver(const Task& task, const FjResult& result) {
     DFIL_CHECK(!cell->done);
     cell->result = result;
     cell->done = true;
-    if (cell->waiter != nullptr) {
-      threads::ServerThread* t = cell->waiter;
-      cell->waiter = nullptr;
-      rt_->WakeAtTail(t);
-    }
+    rt_->WakeWaiter(cell->waiter);
     return;
   }
   net::WireWriter w;

@@ -11,55 +11,39 @@
 #include "src/dsm/page_protocol.h"
 
 namespace dfil::core {
-// Oracle sweep at a globally quiescent point: the combining node of a tournament/central barrier
-// holds every contribution, so every node has drained its outstanding fetches (WaitForFetchDrain)
-// and run AtSyncPoint before sending up — the cluster-wide page state is stable until the
-// dissemination goes out. The dissemination barrier has no such single point, so it never sweeps.
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
-#define DFIL_ORACLE_SWEEP()                        \
-  do {                                             \
-    if (config_.coherence_oracle != nullptr) {     \
-      config_.coherence_oracle->AtQuiescentPoint(); \
-    }                                              \
-  } while (false)
-#else
-#define DFIL_ORACLE_SWEEP() \
-  do {                      \
-  } while (false)
-#endif
+namespace {
+
+// Runaway guard for server threads: a node that reaches this many live threads has a thread leak
+// or a spawn loop.
+constexpr size_t kMaxServerThreads = 128;
+
+// The node a non-root reports its reduce-up to (kNoNode: none). In the tournament, node r loses
+// in the round of its lowest set bit, to r minus that bit; the central barrier reports to node 0;
+// dissemination has no fixed parent. The sync-batch diff protocol gates its merge to this node.
+NodeId BarrierParent(ClusterConfig::BarrierKind kind, NodeId id) {
+  if (id == 0 || kind == ClusterConfig::BarrierKind::kDissemination) {
+    return kNoNode;
+  }
+  return kind == ClusterConfig::BarrierKind::kCentral ? 0 : id - (id & -id);
+}
+
+}  // namespace
 
 NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
                          const dsm::GlobalLayout* layout)
     : id_(id),
       config_(config),
       machine_(machine),
-      threads_(config.backend, config.stack_bytes),
+      barrier_parent_(BarrierParent(config.barrier, id)),
+      elide_reduce_acks_(config.coalesce.enabled &&
+                         config.barrier != ClusterConfig::BarrierKind::kDissemination),
+      threads_(threads::DefaultContextBackend()),
       env_(this),
       tracer_(id, this) {
-  packet_ = std::make_unique<net::PacketEndpoint>(machine_, id_, config_.packet, this);
-  packet_->set_coalesce(config_.coalesce);
-
-  dsm::DsmConfig dsm_cfg = config_.dsm;
-  if (config_.coalesce.enabled && config_.coalesce.sync_batch) {
-    // Sync-batch mode: the DSM learns this node's barrier parent so the diff protocol can gate
-    // the merge it sends there (ack elided, retransmission canceled by the done broadcast) and
-    // the transport can pack it with the reduce-up of the same sync point. The dissemination
-    // barrier has no parent/done structure, so gating stays off there.
-    dsm_cfg.coalesce_sync_batch = true;
-    switch (config_.barrier) {
-      case ClusterConfig::BarrierKind::kTournamentBroadcast:
-        dsm_cfg.barrier_parent = id_ == 0 ? kNoNode : id_ - (id_ & -id_);
-        break;
-      case ClusterConfig::BarrierKind::kCentral:
-        dsm_cfg.barrier_parent = id_ == 0 ? kNoNode : 0;
-        break;
-      case ClusterConfig::BarrierKind::kDissemination:
-        dsm_cfg.barrier_parent = kNoNode;
-        break;
-    }
-  }
+  packet_ =
+      std::make_unique<net::PacketEndpoint>(machine_, id_, config_.packet, this, config_.coalesce);
   dsm_ = std::make_unique<dsm::DsmNode>(id_, layout, packet_.get(), &machine_->costs(),
-                                        dsm_cfg, this);
+                                        config_.dsm, this, barrier_parent_);
 #ifndef DFIL_DISABLE_COHERENCE_ORACLE
   if (config_.coherence_oracle != nullptr) {
     dsm_->AttachOracle(config_.coherence_oracle);
@@ -82,16 +66,8 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
         const auto tag = r.Get<uint32_t>();
         Channel& ch = channels_[{src, tag}];
         ch.messages.emplace_back(r.Rest().begin(), r.Rest().end());
-        if (ch.waiter != nullptr) {
-          threads::ServerThread* t = ch.waiter;
-          ch.waiter = nullptr;
-          WakeAtTail(t);
-        }
-        if (any_channel_waiter_ != nullptr) {
-          threads::ServerThread* t = any_channel_waiter_;
-          any_channel_waiter_ = nullptr;
-          WakeAtTail(t);
-        }
+        WakeWaiter(ch.waiter);
+        WakeWaiter(any_channel_waiter_);
       },
       TimeCategory::kDataTransfer);
 }
@@ -213,11 +189,7 @@ void NodeRuntime::BeforePageBlock(PageId page) {
 }
 
 void NodeRuntime::OnFetchesDrained() {
-  if (drain_waiter_ != nullptr) {
-    threads::ServerThread* t = drain_waiter_;
-    drain_waiter_ = nullptr;
-    WakeAtTail(t);
-  }
+  WakeWaiter(drain_waiter_);
 }
 
 void NodeRuntime::AccountWake(threads::ServerThread* t) {
@@ -263,8 +235,14 @@ void NodeRuntime::WakeAtTail(threads::ServerThread* t) {
   ready_.PushBack(t);
 }
 
+void NodeRuntime::WakeWaiter(threads::ServerThread*& slot) {
+  if (threads::ServerThread* t = std::exchange(slot, nullptr); t != nullptr) {
+    WakeAtTail(t);
+  }
+}
+
 threads::ServerThread* NodeRuntime::SpawnThread(std::function<void()> body) {
-  DFIL_CHECK_LT(threads_.live_threads(), static_cast<size_t>(config_.max_server_threads))
+  DFIL_CHECK_LT(threads_.live_threads(), kMaxServerThreads)
       << "node " << id_ << ": server thread limit reached";
   Charge(TimeCategory::kFilamentExec, costs().thread_create);
   threads::ServerThread* t = threads_.Create(std::move(body));
@@ -355,27 +333,15 @@ void NodeRuntime::RegisterReduceServices() {
             return std::nullopt;
           }
         }
-        const bool elide = config_.coalesce.enabled && config_.coalesce.elide_reduce_replies &&
-                           config_.barrier != ClusterConfig::BarrierKind::kDissemination;
-        if (elide && last_done_epoch_ >= epoch) {
+        if (elide_reduce_acks_ && last_done_epoch_ >= epoch) {
           // A retransmission of a contribution this barrier already consumed (its elided ack was
           // lost on the sender): answer with the done value directly, standing in for the
           // broadcast the sender evidently also missed.
-          net::WireWriter w;
-          w.Put(epoch);
-          w.Put(last_done_value_);
-          if (config_.balancer.enabled) {
-            AppendPlan(w, epoch);
-          }
-          return w.Take();
+          return DonePayload(epoch, last_done_value_);
         }
         reduce_inbox_[{epoch, round, src}] = value;
-        if (reduce_waiter_ != nullptr) {
-          threads::ServerThread* t = reduce_waiter_;
-          reduce_waiter_ = nullptr;
-          WakeAtTail(t);
-        }
-        if (elide) {
+        WakeWaiter(reduce_waiter_);
+        if (elide_reduce_acks_) {
           // The done broadcast is the real ack of a reduce-up; skip the empty reply datagram.
           packet_->ElideCurrentReply();
         }
@@ -383,47 +349,43 @@ void NodeRuntime::RegisterReduceServices() {
       },
       /*idempotent=*/true);
 
-  auto handle_done = [this](net::WireReader body) {
-    const auto epoch = body.Get<uint64_t>();
-    const auto value = body.Get<double>();
-    if (config_.balancer.enabled) {
-      ParsePlan(body);
-    }
-    reduce_done_[epoch] = value;
-    // Only a NEW done may consume the unacked sync-point requests. Under loss a done arrives
-    // again — a duplicated raw broadcast, or the reliable done request retransmitted because our
-    // reply to it was lost re-runs this handler — and by then this node may already be a barrier
-    // ahead, with the next epoch's reduce-up and gated merge in flight. A stale done proves
-    // nothing about those; canceling them here would stop the very retransmissions that recover
-    // their loss (the parent defers our up until the merge lands, so the run would wedge at the
-    // retransmission limit).
-    if (epoch > last_done_epoch_) {
-      last_done_epoch_ = epoch;
-      last_done_value_ = value;
-      if (pending_up_req_ != 0) {
-        // The done proves our contribution was combined; stop retransmitting the (unacked) up.
-        packet_->CancelRequest(pending_up_req_);
-        pending_up_req_ = 0;
-      }
-      dsm_->OnBarrierDone();
-    }
-    if (reduce_waiter_ != nullptr) {
-      threads::ServerThread* t = reduce_waiter_;
-      reduce_waiter_ = nullptr;
-      WakeAtTail(t);
-    }
-  };
-  packet_->RegisterRawHandler(net::Service::kReduceDone,
-                              [handle_done](NodeId, net::Payload body) {
-                                handle_done(net::WireReader(body));
-                              });
+  packet_->RegisterRawHandler(net::Service::kReduceDone, [this](NodeId, net::Payload body) {
+    OnReduceDone(net::WireReader(body));
+  });
   packet_->RegisterService(
       net::Service::kReduceDone,
-      [handle_done](NodeId, net::WireReader body) -> std::optional<net::Payload> {
-        handle_done(body);
+      [this](NodeId, net::WireReader body) -> std::optional<net::Payload> {
+        OnReduceDone(body);
         return net::Payload{};
       },
       /*idempotent=*/true);
+}
+
+void NodeRuntime::OnReduceDone(net::WireReader body) {
+  const auto epoch = body.Get<uint64_t>();
+  const auto value = body.Get<double>();
+  if (config_.balancer.enabled) {
+    ParsePlan(body);
+  }
+  reduce_done_[epoch] = value;
+  // Only a NEW done may consume the unacked sync-point requests. Under loss a done arrives
+  // again — a duplicated raw broadcast, or the reliable done request retransmitted because our
+  // reply to it was lost re-runs this handler — and by then this node may already be a barrier
+  // ahead, with the next epoch's reduce-up and gated merge in flight. A stale done proves
+  // nothing about those; canceling them here would stop the very retransmissions that recover
+  // their loss (the parent defers our up until the merge lands, so the run would wedge at the
+  // retransmission limit).
+  if (epoch > last_done_epoch_) {
+    last_done_epoch_ = epoch;
+    last_done_value_ = value;
+    if (pending_up_req_ != 0) {
+      // The done proves our contribution was combined; stop retransmitting the (unacked) up.
+      packet_->CancelRequest(pending_up_req_);
+      pending_up_req_ = 0;
+    }
+    dsm_->OnBarrierDone();
+  }
+  WakeWaiter(reduce_waiter_);
 }
 
 double NodeRuntime::Combine(double a, double b, ReduceOp op) {
@@ -499,11 +461,7 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
     // Balancer wire format: merge-epoch word always present (0 = none; an applied-epoch counter
     // can never be outrun by 0, so 0 never defers), then this sender's accumulated samples — its
     // own plus every subtree sample received in earlier tournament rounds, sorted by node id.
-    uint64_t merge_epoch = 0;
-    if (config_.coalesce.enabled && config_.coalesce.sync_batch) {
-      merge_epoch = dsm_->PendingGatedMergeEpoch();
-    }
-    w.Put(merge_epoch);
+    w.Put(dsm_->PendingGatedMergeEpoch());
     const auto& samples = balance_samples_[epoch];
     w.Put(static_cast<uint32_t>(samples.size()));
     for (const auto& [node, s] : samples) {
@@ -513,43 +471,60 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
       w.Put(s.wait);
       w.Put(s.serve);
     }
-  } else if (config_.coalesce.enabled && config_.coalesce.sync_batch) {
+  } else if (const uint64_t merge_epoch = dsm_->PendingGatedMergeEpoch(); merge_epoch != 0) {
     // Piggyback the epoch of the still-unacked gated diff merge (it rides to the same parent,
     // held in the same datagram): the receiver defers this contribution until the merge applies.
-    if (const uint64_t merge_epoch = dsm_->PendingGatedMergeEpoch(); merge_epoch != 0) {
-      w.Put(merge_epoch);
-    }
+    w.Put(merge_epoch);
   }
-  const bool elide = config_.coalesce.enabled && config_.coalesce.elide_reduce_replies &&
-                     config_.barrier != ClusterConfig::BarrierKind::kDissemination;
   const uint64_t req = packet_->SendRequest(
       dst, net::Service::kReduceUp, w.Take(),
       [this](net::Payload reply) {
         pending_up_req_ = 0;
-        if (reply.empty()) {
-          return;  // plain ack (elision off, or the parent had not seen done yet)
-        }
-        // Done-carrying reply: the parent answered a retransmitted up with the barrier result.
-        net::WireReader r(reply);
-        const auto epoch = r.Get<uint64_t>();
-        const auto value = r.Get<double>();
-        if (config_.balancer.enabled) {
-          ParsePlan(r);
-        }
-        reduce_done_[epoch] = value;
-        last_done_epoch_ = epoch;
-        last_done_value_ = value;
-        dsm_->OnBarrierDone();
-        if (reduce_waiter_ != nullptr) {
-          threads::ServerThread* t = reduce_waiter_;
-          reduce_waiter_ = nullptr;
-          WakeAtTail(t);
+        // An empty reply is a plain ack (elision off, or the parent had not seen done yet); a
+        // non-empty one is the parent answering a retransmitted up with the barrier result. It
+        // is always a new done: a done that arrived first canceled this request.
+        if (!reply.empty()) {
+          OnReduceDone(net::WireReader(reply));
         }
       },
       TimeCategory::kSyncOverhead);
-  if (elide) {
+  if (elide_reduce_acks_) {
     pending_up_req_ = req;  // canceled when the done broadcast arrives
   }
+}
+
+net::Payload NodeRuntime::DonePayload(uint64_t epoch, double value) const {
+  net::WireWriter w;
+  w.Put(epoch);
+  w.Put(value);
+  if (config_.balancer.enabled) {
+    AppendPlan(w, epoch);
+  }
+  return w.Take();
+}
+
+void NodeRuntime::ReleaseBarrier(uint64_t epoch, double accum) {
+#ifndef DFIL_DISABLE_COHERENCE_ORACLE
+  // Oracle sweep at a globally quiescent point: the champion holds every contribution, so every
+  // node has drained its outstanding fetches (WaitForFetchDrain) and run AtSyncPoint before
+  // sending up — the cluster-wide page state is stable until the done goes out. Dissemination
+  // has no such single point, so it never sweeps.
+  if (config_.coherence_oracle != nullptr) {
+    config_.coherence_oracle->AtQuiescentPoint();
+  }
+#endif
+  MaybeEmitPlan(epoch);
+  net::Payload body = DonePayload(epoch, accum);
+  if (config_.reliable_broadcast) {
+    for (NodeId n = 1; n < config_.nodes; ++n) {
+      packet_->SendRequest(n, net::Service::kReduceDone, body, nullptr,
+                           TimeCategory::kSyncOverhead);
+    }
+  } else {
+    packet_->BroadcastRaw(net::Service::kReduceDone, std::move(body), TimeCategory::kSyncOverhead);
+  }
+  last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result directly
+  last_done_value_ = accum;
 }
 
 // The paper's barrier (§4.5, [HFM88]): tournament ascent, single broadcast descent. O(p)
@@ -561,8 +536,9 @@ double NodeRuntime::ReduceTournament(uint64_t epoch, double value, ReduceOp op) 
   for (int k = 0; (1 << k) < p; ++k) {
     const int bit = 1 << k;
     if ((r & bit) != 0) {
-      // Tournament loser: report our partial value to the winner and await dissemination.
-      SendReduceValue(r - bit, epoch, k, accum);
+      // Tournament loser (bit is r's lowest set bit): report our partial value to the winner,
+      // our barrier parent, and await dissemination.
+      SendReduceValue(barrier_parent_, epoch, k, accum);
       return WaitReduceDone(epoch);
     }
     if (r + bit < p) {
@@ -570,25 +546,7 @@ double NodeRuntime::ReduceTournament(uint64_t epoch, double value, ReduceOp op) 
     }
   }
   DFIL_CHECK_EQ(r, 0);
-  DFIL_ORACLE_SWEEP();
-  MaybeEmitPlan(epoch);
-  net::WireWriter w;
-  w.Put(epoch);
-  w.Put(accum);
-  if (config_.balancer.enabled) {
-    AppendPlan(w, epoch);
-  }
-  if (config_.reliable_broadcast) {
-    net::Payload body = w.Take();
-    for (NodeId n = 1; n < p; ++n) {
-      packet_->SendRequest(n, net::Service::kReduceDone, body, nullptr,
-                           TimeCategory::kSyncOverhead);
-    }
-  } else {
-    packet_->BroadcastRaw(net::Service::kReduceDone, w.Take(), TimeCategory::kSyncOverhead);
-  }
-  last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result directly
-  last_done_value_ = accum;
+  ReleaseBarrier(epoch, accum);
   return accum;
 }
 
@@ -619,32 +577,14 @@ double NodeRuntime::ReduceDissemination(uint64_t epoch, double value, ReduceOp o
 double NodeRuntime::ReduceCentral(uint64_t epoch, double value, ReduceOp op) {
   const int p = config_.nodes;
   if (id_ != 0) {
-    SendReduceValue(0, epoch, 0, value);
+    SendReduceValue(barrier_parent_, epoch, 0, value);
     return WaitReduceDone(epoch);
   }
   double accum = value;
   for (NodeId n = 1; n < p; ++n) {
     accum = Combine(accum, WaitReduceUp(epoch, 0, n), op);
   }
-  DFIL_ORACLE_SWEEP();
-  MaybeEmitPlan(epoch);
-  net::WireWriter w;
-  w.Put(epoch);
-  w.Put(accum);
-  if (config_.balancer.enabled) {
-    AppendPlan(w, epoch);
-  }
-  if (config_.reliable_broadcast) {
-    net::Payload body = w.Take();
-    for (NodeId n = 1; n < p; ++n) {
-      packet_->SendRequest(n, net::Service::kReduceDone, body, nullptr,
-                           TimeCategory::kSyncOverhead);
-    }
-  } else {
-    packet_->BroadcastRaw(net::Service::kReduceDone, w.Take(), TimeCategory::kSyncOverhead);
-  }
-  last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result directly
-  last_done_value_ = accum;
+  ReleaseBarrier(epoch, accum);
   return accum;
 }
 

@@ -79,6 +79,8 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   void Wake(threads::ServerThread* t) override;
   void WakeAtFront(threads::ServerThread* t);
   void WakeAtTail(threads::ServerThread* t);
+  // Wakes the thread parked in `slot` (at the tail), if any, and clears the slot.
+  void WakeWaiter(threads::ServerThread*& slot);
   // Creates a server thread running `body` and enqueues it (charges creation cost).
   threads::ServerThread* SpawnThread(std::function<void()> body);
   threads::ServerThread* CurrentThread() override { return threads_.current(); }
@@ -179,6 +181,15 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   double ReduceDissemination(uint64_t epoch, double value, ReduceOp op);
   double ReduceCentral(uint64_t epoch, double value, ReduceOp op);
   static double Combine(double a, double b, ReduceOp op);
+  // A barrier's done value arrived (broadcast, reliable done request, or done-carrying reply):
+  // record it, consume the sync-point requests it acknowledges, and wake the waiter.
+  void OnReduceDone(net::WireReader body);
+  // The done value with the balancer's plan trailer: the done broadcast's payload, and the
+  // answer to a retransmitted reduce-up after done.
+  net::Payload DonePayload(uint64_t epoch, double value) const;
+  // Champion end of a tournament or central barrier: oracle sweep, balancer plan, done
+  // dissemination (reliable or one raw broadcast), and the last-done record.
+  void ReleaseBarrier(uint64_t epoch, double accum);
 
   // Load-balancer plumbing (config_.balancer; every hook is inert while disabled, keeping the
   // wire format and schedule byte-identical to a balancer-free build).
@@ -200,6 +211,10 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   NodeId id_;
   ClusterConfig config_;
   sim::Machine* machine_;
+  // This node's parent in the reduction tree (kNoNode: root, or dissemination).
+  const NodeId barrier_parent_;
+  // Coalescing on a champion barrier: reduce-up acks are elided; the done broadcast stands in.
+  const bool elide_reduce_acks_;
   SimTime clock_ = 0;
   SimTime pending_gap_ = 0;  // idle time awaiting classification at the next wake
   bool main_done_ = false;

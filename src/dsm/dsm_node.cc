@@ -26,6 +26,14 @@
 namespace dfil::dsm {
 namespace {
 
+// Sequential-fault detector: consecutive adjacent demand read faults that arm it, and how many
+// pages past the faulting one the armed detector bulk-fetches.
+constexpr int kPrefetchMinRun = 2;
+constexpr int kPrefetchDegree = 4;
+// Cap on the page count of one bulk (prefetch or re-home) request: bounds the reply datagram and
+// the miss list a stale probable-owner hint can cost.
+constexpr uint32_t kMaxBulkPages = 16;
+
 constexpr uint8_t kReplyOk = 0;
 constexpr uint8_t kReplyRedirect = 1;
 
@@ -95,13 +103,16 @@ uint64_t Bit(NodeId n) { return uint64_t{1} << n; }
 }  // namespace
 
 DsmNode::DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* packet,
-                 const sim::CostModel* costs, const DsmConfig& config, NodeUpcalls* host)
+                 const sim::CostModel* costs, const DsmConfig& config, NodeUpcalls* host,
+                 NodeId parent)
     : self_(self),
       layout_(layout),
       packet_(packet),
       costs_(costs),
       config_(config),
       host_(host),
+      sync_batch_(packet->coalescing()),
+      gate_parent_(sync_batch_ ? parent : kNoNode),
       replica_(layout->region_bytes()),
       table_(layout->num_pages()),
       fault_heat_(layout->num_pages()) {
@@ -636,8 +647,8 @@ void DsmNode::NoteFaultForDetector(PageId page, AccessMode mode) {
                        ? fault_run_len_ + 1
                        : 1;
   last_fault_page_ = page;
-  if (fault_run_len_ >= config_.prefetch_min_run) {
-    Prefetch(page + 1, config_.prefetch_degree, AccessMode::kRead);
+  if (fault_run_len_ >= kPrefetchMinRun) {
+    Prefetch(page + 1, kPrefetchDegree, AccessMode::kRead);
   }
 }
 
@@ -675,10 +686,10 @@ void DsmNode::StartBulkFetch(PageId first, int count) {
       continue;
     }
     // Extend a maximal run of eligible pages sharing a probable-owner hint, capped at
-    // max_bulk_pages; hint changes split the run so replies carry few misses.
+    // kMaxBulkPages; hint changes split the run so replies carry few misses.
     const NodeId target = table_[p].probable_owner;
     PageId run_end = p + 1;
-    while (run_end < end && run_end - p < static_cast<PageId>(config_.max_bulk_pages) &&
+    while (run_end < end && run_end - p < kMaxBulkPages &&
            eligible(run_end) && table_[run_end].probable_owner == target) {
       ++run_end;
     }
@@ -758,7 +769,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     // marks served diff-mode pages so a flush-set bulk refetch installs twin-eligible copies.
     // Only set when sync-batch is on, so off-mode bulk replies stay byte-identical.
     const uint64_t diff_tag =
-        (config_.coalesce_sync_batch && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
+        (sync_batch_ && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
     w.Put(PageBlockHeader{p, diff_tag});
     w.PutBytes(replica_.data() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
     DFIL_ORACLE(OnServeRead(self_, src, p));
@@ -872,7 +883,7 @@ void DsmNode::RequestRehome(const std::vector<PageId>& pages, NodeId source) {
     ++e.fetch_seq;  // a fresh fault, exactly like StartDemandFetch
     ++pending_fetches_;
     batch.emplace_back(p, e.fetch_seq);
-    if (batch.size() >= static_cast<size_t>(config_.max_bulk_pages)) {
+    if (batch.size() >= kMaxBulkPages) {
       flush();
     }
   }

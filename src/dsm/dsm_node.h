@@ -88,15 +88,12 @@ struct DsmConfig {
   SimTime mirage_window = Milliseconds(2.0);
 
   // --- Strip-aware prefetching / bulk transfers (extension; both off = paper behaviour) ---
-  // Sequential-fault detector: after `prefetch_min_run` consecutive demand read faults on
-  // adjacent pages, the remainder of the run is fetched with one bulk request.
+  // Sequential-fault detector: after kPrefetchMinRun consecutive demand read faults on adjacent
+  // pages, the remainder of the run is fetched with one bulk request (dsm_node.cc).
   bool prefetch_detector = false;
   // Strip hints: the pool engine re-issues last sweep's per-pool fault footprint as bulk
   // prefetches before running the pool's filaments.
   bool prefetch_hints = false;
-  int prefetch_min_run = 2;   // consecutive adjacent faults that arm the detector
-  int prefetch_degree = 4;    // pages the armed detector fetches ahead of the faulting page
-  int max_bulk_pages = 16;    // cap on the page count of one bulk request
 
   // --- Per-page-group protocol adaptation (extension; DESIGN.md §10) ---
   // Requires pcp == kImplicitInvalidate. Every page group starts under implicit-invalidate; the
@@ -108,15 +105,6 @@ struct DsmConfig {
   bool adapt_protocols = false;
   uint32_t adapt_to_diff_threshold = 3;
   uint32_t adapt_calm_epochs = 2;
-
-  // --- Sync-point traffic batching (extension; DESIGN.md §11) ---
-  // Set by the runtime from ClusterConfig::coalesce.{enabled,sync_batch}: diff flush sets are
-  // re-fetched with bulk requests, bulk replies carry the diff tag, and the merge to
-  // `barrier_parent` goes out gated (ack elided; it piggybacks on the reduce-up frame).
-  bool coalesce_sync_batch = false;
-  // This node's parent in the reduction tree (kNoNode = no gating: root node, or a barrier kind
-  // without a fixed parent, e.g. dissemination).
-  NodeId barrier_parent = kNoNode;
 };
 
 struct PageEntry {
@@ -144,9 +132,11 @@ struct PageEntry {
 class DsmNode {
  public:
   // `host` is the node runtime: the DSM charges it, reads its clock, and blocks/wakes faulting
-  // server threads through it (common/upcalls.h).
+  // server threads through it (common/upcalls.h). `parent` is this node's parent in the reduction
+  // tree (kNoNode: none); sync-batch mode gates the diff merge sent there.
   DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* packet,
-          const sim::CostModel* costs, const DsmConfig& config, NodeUpcalls* host);
+          const sim::CostModel* costs, const DsmConfig& config, NodeUpcalls* host,
+          NodeId parent);
   ~DsmNode();
 
   DsmNode(const DsmNode&) = delete;
@@ -209,7 +199,7 @@ class DsmNode {
   // --- Rebalance page re-homing (load balancer; DESIGN.md §13) ---
 
   // Requests ownership of `pages` from `source` in one batched kRehomePages exchange per
-  // max_bulk_pages run, so a migrated strip's next epoch faults locally instead of chasing
+  // kMaxBulkPages run, so a migrated strip's next epoch faults locally instead of chasing
   // ownership page by page. Pages that are owned here, already being fetched, grouped, or under
   // the diff protocol (which never transfers ownership) are skipped. Each re-homed page goes
   // through the standard single-page install path — grants, copyset invalidation rounds, the
@@ -284,7 +274,7 @@ class DsmNode {
   // --- Bulk transfers / prefetching ---
 
   // Sequential-fault detector (called on every demand read fault when enabled): arms on
-  // `prefetch_min_run` adjacent faults and bulk-prefetches the run's continuation.
+  // kPrefetchMinRun adjacent faults and bulk-prefetches the run's continuation.
   void NoteFaultForDetector(PageId page, AccessMode mode);
 
   // Marks every eligible page of [first, first+count) as fetching and sends one bulk request per
@@ -346,6 +336,13 @@ class DsmNode {
   const sim::CostModel* costs_;
   DsmConfig config_;
   NodeUpcalls* host_;
+  // Sync-point traffic batching (DESIGN.md §11), on whenever the transport coalesces: diff flush
+  // sets are re-fetched with bulk requests, bulk replies carry the diff tag, and the merge to
+  // gate_parent_ goes out gated (ack elided; it piggybacks on the reduce-up frame).
+  const bool sync_batch_;
+  // The barrier parent in sync-batch mode; kNoNode (no gating) otherwise, at the root, and under
+  // dissemination, which has no fixed parent.
+  const NodeId gate_parent_;
   // The host's tracer when it can record, nullptr otherwise (so hot paths skip name building).
   NodeTracer* tracer() const { return host_->tracer().enabled() ? &host_->tracer() : nullptr; }
 

@@ -158,9 +158,7 @@ class DiffProtocol final : public PageProtocol {
   // (the kDiffMergeGated service) elides the ack: the barrier done broadcast stands in for it.
   std::optional<net::Payload> ServeMerge(NodeId src, net::WireReader body, bool gated = false);
 
-  bool HasTwin(PageId page) const { return twins_.count(page) != 0; }
-
-  // --- Coalescing sync-batch support (config_.coalesce_sync_batch) ---
+  // --- Coalescing sync-batch support (DsmNode::sync_batch_) ---
 
   // Highest flush epoch applied from `src` (0 = none).
   uint64_t applied_epoch(NodeId src) const {

@@ -1,5 +1,6 @@
 #include "src/net/packet.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -47,8 +48,8 @@ const char* ServiceName(Service service) {
 }
 
 PacketEndpoint::PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config,
-                               NodeUpcalls* host)
-    : machine_(machine), self_(self), config_(config), host_(host) {}
+                               NodeUpcalls* host, CoalesceConfig coalesce)
+    : machine_(machine), self_(self), config_(config), coalesce_(coalesce), host_(host) {}
 
 PacketEndpoint::~PacketEndpoint() {
   for (auto& [id, out] : outstanding_) {
@@ -114,6 +115,22 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
 namespace {
 // A packed frame on the wire: a uint32 length prefix, then a full legacy Header + body.
 constexpr size_t kFrameLenBytes = sizeof(uint32_t);
+// Flush when packing one more frame would push the datagram payload past this limit (a
+// UDP-practical MTU on the simulated network; a single oversized frame still goes out alone).
+constexpr size_t kMaxDatagramBytes = 8800;
+// How long a tolerant (held) request may wait for a carrier before its hold timer flushes it.
+// Sized to cover the fault skew between neighbouring nodes in a phase-locked exchange (they
+// reach their boundary pages several ms apart); the just-served filter in ShouldHold keeps this
+// from charging fetches whose carrier already left.
+constexpr SimTime kRequestHold = Milliseconds(20.0);
+// How long a piggybacked ack may wait (ack_replies mode only).
+constexpr SimTime kAckHold = Milliseconds(2.0);
+// A page/bulk request to a lower-numbered mutual peer — one that requested from us within this
+// window — is held briefly so it can ride on our reply to that peer's next request.
+constexpr SimTime kMutualWindow = Milliseconds(250.0);
+// Retransmission floor for sync-point requests (merges, reduce-ups), whose ack is elided or
+// queued behind a flush wave: a loss backstop, not an RTT-scale timer (see SendRequest).
+constexpr SimTime kElidedAckTimeout = Milliseconds(1000.0);
 }  // namespace
 
 void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t req_id,
@@ -123,7 +140,7 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
   const size_t frame_bytes = kFrameLenBytes + sizeof(Header) + body.size();
   // MTU flush: packing this frame would overflow the datagram, so flush what is queued first.
   // A single frame bigger than the MTU still goes out (as a singleton legacy datagram).
-  if (q.bytes > 0 && sizeof(Header) + q.bytes + frame_bytes > coalesce_.max_datagram_bytes) {
+  if (q.bytes > 0 && sizeof(Header) + q.bytes + frame_bytes > kMaxDatagramBytes) {
     FlushQueue(dst);
   }
   const bool was_empty = (q.bytes == 0);
@@ -156,9 +173,6 @@ bool PacketEndpoint::ShouldHold(NodeId dst, Service service) const {
   if (service == Service::kDiffMergeGated) {
     return true;  // rides the reduce-up frame of the same sync point
   }
-  if (!coalesce_.hold_requests) {
-    return false;
-  }
   if (service != Service::kPageRequest && service != Service::kBulkPageRequest) {
     return false;
   }
@@ -176,10 +190,10 @@ bool PacketEndpoint::ShouldHold(NodeId dst, Service service) const {
   // answered (serving is synchronous), so the peer's NEXT request — the only carrier this hold
   // could ride on — is a full exchange period away. Holding would stall this fetch for the whole
   // hold and still flush alone; send it now instead.
-  if (age < coalesce_.request_hold) {
+  if (age < kRequestHold) {
     return false;
   }
-  return age <= coalesce_.mutual_window;
+  return age <= kMutualWindow;
 }
 
 void PacketEndpoint::ScheduleFlushEvent() {
@@ -295,13 +309,13 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
   out.timeout = InitialTimeout(dst, expected_reply_bytes);
   if (coalesce_.enabled &&
       (service == Service::kDiffMerge || service == Service::kDiffMergeGated ||
-       (coalesce_.elide_reduce_replies && service == Service::kReduceUp)) &&
-      out.timeout < coalesce_.elided_ack_timeout) {
+       service == Service::kReduceUp) &&
+      out.timeout < kElidedAckTimeout) {
     // Sync-point traffic: a gated merge's or reduce-up's ack is elided (the barrier done stands
     // in, arriving an epoch later), and a plain merge's ack queues behind every peer's flush
     // wave at the home. Keep these timers as loss backstops — an RTT-scale RTO retransmits
     // spuriously into the very congestion that delayed the ack.
-    out.timeout = coalesce_.elided_ack_timeout;
+    out.timeout = kElidedAckTimeout;
   }
   out.sent_at = host_->Clock();
   out.expected_reply_bytes = expected_reply_bytes;
@@ -315,7 +329,7 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
       .Record(static_cast<double>(outstanding_.size() + 1));
   if (coalesce_.enabled && ShouldHold(dst, service)) {
     Enqueue(dst, Kind::kRequest, service, req_id, body, charge_as, out.trace, /*held=*/true,
-            coalesce_.request_hold);
+            kRequestHold);
   } else {
     Transmit(dst, Kind::kRequest, service, req_id, body, charge_as, out.trace);
   }
@@ -343,13 +357,7 @@ SimTime PacketEndpoint::InitialTimeout(NodeId dst, size_t expected_reply_bytes) 
   SimTime rto = config_.retransmit_timeout;
   auto it = peer_rtt_.find(dst);
   if (it != peer_rtt_.end() && it->second.valid) {
-    rto = it->second.srtt + 4 * it->second.rttvar;
-    if (rto < config_.rto_min) {
-      rto = config_.rto_min;
-    }
-    if (rto > config_.retransmit_timeout_max) {
-      rto = config_.retransmit_timeout_max;
-    }
+    rto = EstimatedRto(it->second);
   }
   if (expected_reply_bytes > 0) {
     // A large reply can be queued behind every peer's large reply on the shared wire; an RTO
@@ -362,6 +370,11 @@ SimTime PacketEndpoint::InitialTimeout(NodeId dst, size_t expected_reply_bytes) 
     }
   }
   return rto;
+}
+
+SimTime PacketEndpoint::EstimatedRto(const PeerRtt& p) const {
+  const SimTime rto = std::max(p.srtt + 4 * p.rttvar, config_.rto_min);
+  return std::min(rto, config_.retransmit_timeout_max);
 }
 
 void PacketEndpoint::UpdateRtt(NodeId src, const Outstanding& out) {
@@ -379,14 +392,7 @@ void PacketEndpoint::UpdateRtt(NodeId src, const Outstanding& out) {
     p.rttvar = (3 * p.rttvar + err) / 4;
     p.srtt = (7 * p.srtt + sample) / 8;
   }
-  SimTime rto = p.srtt + 4 * p.rttvar;
-  if (rto < config_.rto_min) {
-    rto = config_.rto_min;
-  }
-  if (rto > config_.retransmit_timeout_max) {
-    rto = config_.retransmit_timeout_max;
-  }
-  host_->metrics().Hist("net.rto_us").Record(ToMicroseconds(rto));
+  host_->metrics().Hist("net.rto_us").Record(ToMicroseconds(EstimatedRto(p)));
 }
 
 void PacketEndpoint::ArmTimer(uint64_t req_id) {
@@ -601,7 +607,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   }
   if (!entry.idempotent) {
     const SimTime expires =
-        host_->Clock() + config_.retransmit_timeout * config_.response_cache_timeouts;
+        host_->Clock() + config_.retransmit_timeout * kResponseCacheTimeouts;
     response_cache_[{src, req_id}] = CachedReply{*reply, expires};
     cache_fifo_.push_back({src, req_id});
     // Evict in FIFO order: anything expired, plus the oldest entries beyond the size cap. A
@@ -630,7 +636,7 @@ void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, Payload body) {
     stats_.acks_sent++;
     if (coalesce_.enabled) {
       Enqueue(src, Kind::kAck, static_cast<Service>(0), req_id, {}, TimeCategory::kSyncOverhead,
-              CurTrace(), /*held=*/true, coalesce_.ack_hold);
+              CurTrace(), /*held=*/true, kAckHold);
     } else {
       Transmit(src, Kind::kAck, static_cast<Service>(0), req_id, {}, TimeCategory::kSyncOverhead,
                CurTrace());

@@ -63,33 +63,13 @@ enum class Service : uint16_t {
 // Human-readable service name for traces and metric keys ("page_request", "reduce_up", ...).
 const char* ServiceName(Service service);
 
-// Per-destination frame coalescing (DESIGN.md §11). Off by default; when disabled the wire
-// format, charges, and message schedule are byte-identical to the uncoalesced protocol.
+// Per-destination frame coalescing (DESIGN.md §11), with piggybacked acks and, above the
+// transport, sync-point batching (diff flush-set bulk refetch, gated merges that ride the
+// reduce-up frame, elided reduce-up acks). Off by default; when disabled the wire format,
+// charges, and message schedule are byte-identical to the uncoalesced protocol. The MTU and hold
+// windows are constants in packet.cc.
 struct CoalesceConfig {
   bool enabled = false;
-  // Flush when packing one more frame would push the datagram payload past this limit (a
-  // UDP-practical MTU on the simulated network; a single oversized frame still goes out alone).
-  size_t max_datagram_bytes = 8800;
-  // How long a tolerant (held) frame may wait for a carrier before its hold timer flushes it.
-  // Sized to cover the fault skew between neighbouring nodes in a phase-locked exchange (they
-  // reach their boundary pages several ms apart); the just-served filter in ShouldHold keeps
-  // this from charging fetches whose carrier already left.
-  SimTime request_hold = Milliseconds(20.0);
-  // How long a piggybacked ack may wait (ack_replies mode only).
-  SimTime ack_hold = Milliseconds(2.0);
-  // A page/bulk request to a lower-numbered mutual peer — one that requested from us within this
-  // window — is held briefly so it can ride on our reply to that peer's next request.
-  SimTime mutual_window = Milliseconds(250.0);
-  bool hold_requests = true;  // enable the mutual-peer request hold
-  // Sync-point batching above the transport: diff flush-set bulk refetch and gated merges that
-  // piggyback on the reduce-up frame (src/dsm, src/core).
-  bool sync_batch = true;
-  // Elide reduce-up acks; the barrier done broadcast (or a done-carrying rebuilt reply) stands in.
-  bool elide_reduce_replies = true;
-  // Retransmission floor for requests whose ack is elided (gated merges, reduce-ups): their
-  // "ack" is the barrier done broadcast, which arrives an epoch-scale time later, so the timer
-  // is a loss-recovery backstop — an RTT-scale RTO would retransmit spuriously every barrier.
-  SimTime elided_ack_timeout = Milliseconds(1000.0);
 };
 
 struct PacketConfig {
@@ -101,8 +81,6 @@ struct PacketConfig {
   // a shared-medium barrier routinely queues an ack past any quiet-time RTT estimate.
   SimTime rto_min = Milliseconds(100.0);
   int retransmit_limit = 60;
-  // How long a cached non-idempotent reply stays valid (relative to the initial timeout).
-  int response_cache_timeouts = 20;
   // TCP-like ablation (paper §3: "a different reliability mechanism—such as the one in TCP—might
   // perform better" on lossy networks): replies are buffered at the replier and retransmitted
   // until explicitly acknowledged, instead of being rebuilt on request retransmission. Costs one
@@ -153,8 +131,9 @@ class PacketEndpoint {
   // retransmissions re-stamp the original — and incoming handlers run under the message's id so
   // nested sends inherit it. Its metrics registry receives the per-datagram and
   // outstanding-pipeline-depth histograms, and every RTO expiry records a kRetransmit wait
-  // spanning [first send, expiry].
-  PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config, NodeUpcalls* host);
+  // spanning [first send, expiry]. `coalesce` is fixed for the endpoint's lifetime.
+  PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config, NodeUpcalls* host,
+                 CoalesceConfig coalesce = {});
   ~PacketEndpoint();
 
   PacketEndpoint(const PacketEndpoint&) = delete;
@@ -190,9 +169,7 @@ class PacketEndpoint {
   // queued or coalescing is off.
   void Flush(NodeId dst);
 
-  // Enables/configures coalescing. Call before traffic flows (the runtime does, at construction).
-  void set_coalesce(const CoalesceConfig& coalesce) { coalesce_ = coalesce; }
-  const CoalesceConfig& coalesce() const { return coalesce_; }
+  bool coalescing() const { return coalesce_.enabled; }
 
   // Unreliable one-shot datagrams (bare UDP semantics).
   void SendRaw(NodeId dst, Service service, Payload body,
@@ -301,6 +278,8 @@ class PacketEndpoint {
   // estimated RTO clamped to [rto_min, retransmit_timeout_max] and floored by the expected-reply
   // wire time when on).
   SimTime InitialTimeout(NodeId dst, size_t expected_reply_bytes) const;
+  // Jacobson/Karels RTO from a peer's estimate, clamped to [rto_min, retransmit_timeout_max].
+  SimTime EstimatedRto(const PeerRtt& p) const;
   // Feeds one reply into the per-peer RTT estimator (Karn's rule: first-attempt samples only).
   void UpdateRtt(NodeId src, const Outstanding& out);
   // Dispatches one unpacked frame; `first` selects full receive overhead vs the marginal cost.
@@ -318,7 +297,7 @@ class PacketEndpoint {
   sim::Machine* machine_;
   NodeId self_;
   PacketConfig config_;
-  CoalesceConfig coalesce_;
+  const CoalesceConfig coalesce_;
   NodeUpcalls* host_;
   PacketStats stats_;
   std::map<uint16_t, uint64_t> sent_by_service_;
@@ -351,8 +330,10 @@ class PacketEndpoint {
   };
   std::map<std::pair<NodeId, uint64_t>, PendingReply> pending_replies_;
 
-  // Response cache for non-idempotent services: (src, req_id) -> reply, evicted FIFO.
+  // Response cache for non-idempotent services: (src, req_id) -> reply, evicted FIFO. An entry
+  // stays valid for kResponseCacheTimeouts initial retransmission timeouts.
   static constexpr size_t kResponseCacheCap = 1024;
+  static constexpr int kResponseCacheTimeouts = 20;
   std::map<std::pair<NodeId, uint64_t>, CachedReply> response_cache_;
   std::deque<std::pair<NodeId, uint64_t>> cache_fifo_;
 

@@ -33,7 +33,7 @@ class Stack {
 // LIFO free list of equally sized stacks.
 class StackPool {
  public:
-  explicit StackPool(size_t stack_bytes = kDefaultStackBytes) : stack_bytes_(stack_bytes) {}
+  explicit StackPool(size_t bytes = kDefaultStackBytes) : stack_bytes_(bytes) {}
 
   // Returns a stack, reusing a recycled one when available.
   std::unique_ptr<Stack> Acquire();

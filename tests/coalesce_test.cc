@@ -25,14 +25,8 @@ struct Rig {
     sim::CostModel costs = sim::CostModel::SunIpcEthernet();
     machine = std::make_unique<sim::Machine>(std::make_unique<sim::SharedEthernet>(costs), costs,
                                              std::move(plan));
-    a = std::make_unique<MiniHost>(0, machine.get());
-    b = std::make_unique<MiniHost>(1, machine.get());
-    if (coalesce) {
-      CoalesceConfig co;
-      co.enabled = true;
-      a->endpoint->set_coalesce(co);
-      b->endpoint->set_coalesce(co);
-    }
+    a = std::make_unique<MiniHost>(0, machine.get(), PacketConfig{}, CoalesceConfig{coalesce});
+    b = std::make_unique<MiniHost>(1, machine.get(), PacketConfig{}, CoalesceConfig{coalesce});
     machine->AddHost(a.get());
     machine->AddHost(b.get());
   }

@@ -193,6 +193,20 @@ TEST(FingerprintTest, DifferentAppsAreIncompatible) {
   EXPECT_NE(check.mismatches[0].find("app"), std::string::npos);
 }
 
+TEST(FingerprintTest, JacobiIterationCountsAreIncompatible) {
+  // bench_jacobi_pcp's jacobi_ii8 (60 iterations) vs jacobi_ii8_co (120): not a coalescing A/B.
+  apps::JacobiParams ii8;
+  ii8.iterations = 60;
+  apps::JacobiParams co = ii8;
+  co.iterations = 120;
+  const report::FingerprintCheck check = report::CompareFingerprints(
+      SummaryWith(apps::AppIdentity(ii8), "abc"), SummaryWith(apps::AppIdentity(co), "def"));
+  EXPECT_FALSE(check.compatible);
+  ASSERT_FALSE(check.mismatches.empty());
+  EXPECT_EQ(check.mismatches[0], "app: jacobi n=256 iterations=60 pools=3 vs jacobi n=256 "
+                                 "iterations=120 pools=3");
+}
+
 TEST(FingerprintTest, DifferentNodeCountsAreIncompatible) {
   report::RunSummary a = SummaryWith("jacobi", "abc");
   report::RunSummary b = SummaryWith("jacobi", "abc");

@@ -18,9 +18,10 @@ namespace dfil::net {
 
 class MiniHost final : public sim::NodeHost, public NodeUpcalls {
  public:
-  MiniHost(NodeId id, sim::Machine* machine, PacketConfig config = PacketConfig{})
+  MiniHost(NodeId id, sim::Machine* machine, PacketConfig config = PacketConfig{},
+           CoalesceConfig coalesce = CoalesceConfig{})
       : id_(id), tracer_(id, this) {
-    endpoint = std::make_unique<PacketEndpoint>(machine, id, config, this);
+    endpoint = std::make_unique<PacketEndpoint>(machine, id, config, this, coalesce);
   }
 
   // --- sim::NodeHost (Clock() also serves NodeUpcalls) ---
