@@ -1,6 +1,7 @@
 #include "src/common/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace dfil::json {
@@ -311,5 +312,41 @@ class Parser {
 }  // namespace
 
 ParseResult Parse(const std::string& text) { return Parser(text).Run(); }
+
+void WriteEscaped(std::ostream& os, const std::string& s) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        os << "\\\"";
+        break;
+      case '\\':
+        os << "\\\\";
+        break;
+      case '\b':
+        os << "\\b";
+        break;
+      case '\f':
+        os << "\\f";
+        break;
+      case '\n':
+        os << "\\n";
+        break;
+      case '\r':
+        os << "\\r";
+        break;
+      case '\t':
+        os << "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+}
 
 }  // namespace dfil::json

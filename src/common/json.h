@@ -1,4 +1,5 @@
-// Minimal JSON parser for the analysis tooling (tools/dfil_report, trace-validity tests).
+// Minimal JSON parser for the analysis tooling (tools/dfil_report, trace-validity tests), plus the
+// string escaper every JSON writer shares.
 //
 // The runtime writes JSON (traces, metrics, bench reports); this is the read side. Hand-rolled on
 // purpose: the container bakes in no JSON library and the build must not grow dependencies.
@@ -9,6 +10,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +54,11 @@ struct ParseResult {
 };
 
 ParseResult Parse(const std::string& text);
+
+// Writes `s` as the body of a JSON string literal (without the quotes). Escapes quotes,
+// backslash, and every control character: event names embed runtime-generated identifiers, but
+// fuzz scenarios, app tags and oracle violation text can carry arbitrary bytes.
+void WriteEscaped(std::ostream& os, const std::string& s);
 
 }  // namespace dfil::json
 

@@ -53,7 +53,6 @@ struct MessageStats {
   uint64_t messages_dropped = 0;
   uint64_t bytes_sent = 0;
   uint64_t retransmissions = 0;
-  uint64_t deferred_requests = 0;  // requests ignored because the replier was in a critical section
 
   // Adversarial fault injection (sim::FaultInjector): extra deliveries and deferrals it created.
   uint64_t messages_duplicated = 0;  // injected duplicate deliveries

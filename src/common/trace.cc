@@ -3,50 +3,9 @@
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 
 namespace dfil {
-namespace {
-
-// Full JSON string escaping: quotes, backslash, and every control character (event names embed
-// runtime-generated identifiers, but fuzz scenarios and app tags can carry arbitrary bytes).
-void WriteEscaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\b':
-        os << "\\b";
-        break;
-      case '\f':
-        os << "\\f";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void TraceRecorder::Begin(NodeId node, uint64_t tid, const char* category, std::string name,
                           SimTime ts) {
   events_.push_back(Event{'B', node, tid, category, std::move(name), ts, 0});
@@ -102,9 +61,9 @@ void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
        << ",\"ts\":" << ts_buf;
     if (e.phase != 'E') {
       os << ",\"cat\":\"";
-      WriteEscaped(os, e.category);
+      json::WriteEscaped(os, e.category);
       os << "\",\"name\":\"";
-      WriteEscaped(os, e.name);
+      json::WriteEscaped(os, e.name);
       os << "\"";
       if (e.phase == 'i') {
         os << ",\"s\":\"t\"";

@@ -68,7 +68,6 @@ RunReport Cluster::Run(const NodeMain& node_main) {
   }
 
   FlightSnapshot flight;
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
   if (config_.coherence_oracle != nullptr) {
     config_.coherence_oracle->on_first_violation = [this, &flight] {
       flight.at_violation = true;
@@ -79,15 +78,12 @@ RunReport Cluster::Run(const NodeMain& node_main) {
       flight.injections = machine_->RecentInjections();
     };
   }
-#endif
 
   sim::RunResult sim_result = machine_->Run(config_.max_virtual_time);
 
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
   if (config_.coherence_oracle != nullptr) {
     config_.coherence_oracle->on_first_violation = nullptr;
   }
-#endif
   for (auto& node : nodes_) {
     node->FinalizeLedger();
   }

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 
+#include "src/common/json.h"
 #include "src/net/packet.h"
 
 namespace dfil::core {
@@ -229,21 +230,6 @@ std::string WriteMetricsFile(const RunReport& report, const std::string& label,
 
 namespace {
 
-// Minimal JSON string escaping for oracle violation text (which embeds page/value dumps).
-void WriteEscaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
 const char* MsgClassLabel(sim::MsgClass klass) {
   switch (klass) {
     case sim::MsgClass::kRequest:
@@ -268,11 +254,11 @@ void WriteFlightJson(const RunReport& report, const std::string& label,
                      const std::vector<std::string>& violations, std::ostream& os) {
   const FlightSnapshot& flight = report.flight;
   os << "{\n  \"schema\": \"dfil-flight-v1\",\n  \"label\": \"";
-  WriteEscaped(os, label);
+  json::WriteEscaped(os, label);
   os << "\",\n  \"at_violation\": " << (flight.at_violation ? 1 : 0) << ",\n  \"violations\": [";
   for (size_t i = 0; i < violations.size(); ++i) {
     os << (i == 0 ? "\n    \"" : ",\n    \"");
-    WriteEscaped(os, violations[i]);
+    json::WriteEscaped(os, violations[i]);
     os << "\"";
   }
   os << (violations.empty() ? "]" : "\n  ]") << ",\n  \"nodes\": [";

@@ -44,11 +44,9 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
       std::make_unique<net::PacketEndpoint>(machine_, id_, config_.packet, this, config_.coalesce);
   dsm_ = std::make_unique<dsm::DsmNode>(id_, layout, packet_.get(), &machine_->costs(),
                                         config_.dsm, this, barrier_parent_);
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
   if (config_.coherence_oracle != nullptr) {
     dsm_->AttachOracle(config_.coherence_oracle);
   }
-#endif
   pools_ = std::make_unique<PoolEngine>(this);
   fj_ = std::make_unique<FjEngine>(this);
   RegisterReduceServices();
@@ -504,7 +502,6 @@ net::Payload NodeRuntime::DonePayload(uint64_t epoch, double value) const {
 }
 
 void NodeRuntime::ReleaseBarrier(uint64_t epoch, double accum) {
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
   // Oracle sweep at a globally quiescent point: the champion holds every contribution, so every
   // node has drained its outstanding fetches (WaitForFetchDrain) and run AtSyncPoint before
   // sending up — the cluster-wide page state is stable until the done goes out. Dissemination
@@ -512,7 +509,6 @@ void NodeRuntime::ReleaseBarrier(uint64_t epoch, double accum) {
   if (config_.coherence_oracle != nullptr) {
     config_.coherence_oracle->AtQuiescentPoint();
   }
-#endif
   MaybeEmitPlan(epoch);
   net::Payload body = DonePayload(epoch, accum);
   if (config_.reliable_broadcast) {

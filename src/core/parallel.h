@@ -48,27 +48,9 @@ inline void ParallelFor(NodeEnv& env, int64_t count, FilamentFn fn, bool adaptiv
   env.Barrier();
 }
 
-// Runs fn(env, i, j, 0) for every (i, j) in [0, rows) x [0, cols), rows block-distributed.
-inline void ParallelFor2D(NodeEnv& env, int64_t rows, int64_t cols, FilamentFn fn,
-                          bool adaptive_pools = false) {
-  const Block b = BlockOf(rows, env.node(), env.nodes());
-  const PoolHandle pool = adaptive_pools ? PoolHandle{} : env.CreatePool();
-  for (int64_t i = b.lo; i < b.hi; ++i) {
-    for (int64_t j = 0; j < cols; ++j) {
-      if (adaptive_pools) {
-        env.CreateAutoFilament(fn, i, j, 0);
-      } else {
-        env.CreateFilament(pool, fn, i, j, 0);
-      }
-    }
-  }
-  env.RunPools();
-  env.Barrier();
-}
-
-// Iterative forall (the dataflow `for initial ... while` lowering): creates the filaments once,
-// then sweeps until `step(iter)` — which must contain the per-iteration reduction — returns
-// false. Filament creation is identical to ParallelFor2D's.
+// Iterative forall (the dataflow `for initial ... while` lowering): runs fn(env, i, j, 0) for
+// every (i, j) in [0, rows) x [0, cols), rows block-distributed. Creates the filaments once, then
+// sweeps until `step(iter)` — which must contain the per-iteration reduction — returns false.
 inline void ParallelIterate2D(NodeEnv& env, int64_t rows, int64_t cols, FilamentFn fn,
                               const std::function<bool(int)>& step,
                               bool adaptive_pools = true) {

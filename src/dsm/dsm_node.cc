@@ -10,19 +10,6 @@
 #include "src/dsm/coherence_oracle.h"
 #include "src/dsm/page_protocol.h"
 
-// Coherence-oracle hook: a null-pointer check when no oracle is attached, nothing at all when
-// compiled out (benches pay zero).
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
-#define DFIL_ORACLE(call)   \
-  if (oracle_ == nullptr) { \
-  } else /* NOLINT */       \
-    oracle_->call
-#else
-#define DFIL_ORACLE(call) \
-  do {                    \
-  } while (false)
-#endif
-
 namespace dfil::dsm {
 namespace {
 
@@ -52,11 +39,6 @@ struct ReplyHeader {
   uint8_t flags;      // kReplyFlagOwnership | kReplyFlagDiff (bit 0 was `grants_ownership`, so
                       // single-writer replies are byte-identical to the pre-seam format)
   uint16_t npages;
-};
-
-struct PageBlockHeader {
-  PageId page;
-  uint64_t copyset;
 };
 
 // Bulk transfers: one request names a page run [first, first+count); the reply ships the pages
@@ -101,6 +83,11 @@ std::string BulkFlowName(PageId first) { return "bulk p" + std::to_string(first)
 uint64_t Bit(NodeId n) { return uint64_t{1} << n; }
 
 }  // namespace
+
+struct DsmNode::PageBlockHeader {
+  PageId page;
+  uint64_t copyset;
+};
 
 DsmNode::DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* packet,
                  const sim::CostModel* costs, const DsmConfig& config, NodeUpcalls* host,
@@ -192,11 +179,9 @@ Pcp DsmNode::page_pcp(PageId page) const {
 
 void DsmNode::AttachOracle(CoherenceOracle* oracle) {
   oracle_ = oracle;
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
   if (oracle_ != nullptr) {
     oracle_->AttachNode(self_, this);
   }
-#endif
 }
 
 std::byte* DsmNode::TryAccess(GlobalAddr addr, size_t len, AccessMode mode) {
@@ -306,9 +291,7 @@ void DsmNode::StartOwnerUpgrade(PageId page) {
   // We own the page but downgraded to read-only for other readers; invalidate their copies and
   // upgrade in place — no page request needed.
   PageEntry& e = table_[page];
-  e.fetching = true;
-  e.fetch_mode = AccessMode::kWrite;
-  ++pending_fetches_;
+  BeginFetch(page, AccessMode::kWrite);
   e.trace_id = host_->tracer().NewTraceId();
   const uint64_t targets = e.copyset & ~Bit(self_);
   TraceContext trace_ctx(&host_->tracer(), e.trace_id);
@@ -366,8 +349,43 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
     tr->Flow(kFlowStep, "dsm", FlowName(req.page), tr->current());
   }
 
-  if (e.granted_to == src && e.grant_seq == req.fault_seq && e.state == PageState::kInvalid &&
-      !e.owner) {
+  switch (ServeGuard(src, req.page, req.mode, req.fault_seq)) {
+    case ServeVerdict::kReserve:
+      host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
+      stats_.page_requests_served++;
+      return ReserveGrant(src, req.page);
+    case ServeVerdict::kInFlux:
+      return Ignore(stats_.fetch_deferrals, "defer_fetch ", req.page);
+    case ServeVerdict::kStaleDuplicate:
+      return Ignore(stats_.stale_transfer_dups_ignored, "stale_dup ", req.page);
+    case ServeVerdict::kUseDefer:
+      return Ignore(stats_.use_deferrals, "defer_use ", req.page);
+    case ServeVerdict::kMirageDefer:
+      return Ignore(stats_.mirage_deferrals, "defer_mirage ", req.page);
+    case ServeVerdict::kServe:
+      host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
+      stats_.page_requests_served++;
+      return proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq);
+    case ServeVerdict::kRedirect:
+      break;
+  }
+  // Not the owner: redirect the requester along the probable-owner chain.
+  host_->Charge(TimeCategory::kDataTransfer, costs_->page_redirect);
+  stats_.page_forwards++;
+  net::WireWriter w;
+  w.Put(ReplyHeader{kReplyRedirect, e.probable_owner, 0, 0});
+  return w.Take();
+}
+
+DsmNode::ServeVerdict DsmNode::ServeGuard(NodeId src, PageId page, AccessMode mode,
+                                          std::optional<uint32_t> fault_seq) const {
+  const PageEntry& e = table_[page];
+  // Does the request carry the exact fault our last ownership grant answered? Grant records
+  // persist across re-acquisition (FinishFetch keeps them) so that both a retransmission and a
+  // delayed duplicate of that request stay recognizable. Bulk requests carry no fault sequence
+  // number and never match.
+  const bool granted = fault_seq.has_value() && e.granted_to == src && e.grant_seq == *fault_seq;
+  if (granted && e.state == PageState::kInvalid && !e.owner) {
     // A retransmission of the exact fault our last transfer answered: the requester never saw the
     // reply (it was lost), so re-serve the identical transfer from the stale frame. This keeps
     // page replies unbuffered yet loss-safe. Two subtleties:
@@ -377,73 +395,55 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
     //  - it must match the fault (grant_seq), not just the node: under migratory, ownership
     //    cycles, and a LATER fault by the same node can chase back to us mid-refetch — serving
     //    the old grant's bytes to that fault would hand out stale data (and a second owner).
-    host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
-    stats_.page_requests_served++;
-    stats_.grant_reserves++;
-    DFIL_ORACLE(OnServeGrantReserve(self_, src, req.page));
-    return BuildDataReply(req.page, /*transfer_ownership=*/true,
-                          /*include_copyset=*/proto(req.page).TracksCopyset(),
-                          /*from_grant=*/true);
+    return ServeVerdict::kReserve;
   }
-
   if (e.fetching) {
     // This page table entry is in transition: either we are mid-upgrade (invalidation acks
     // outstanding — serving a transfer now would create a second owner), or we are fetching and
     // our chase hint may point right back at the requester. Ignore the request; the requester's
     // retransmission retries once our fetch settles (the paper's deferred-servicing pattern).
-    stats_.fetch_deferrals++;
-    if (NodeTracer* tr = tracer(); tr != nullptr) {
-      tr->Instant("dsm", "defer_fetch " + FlowName(req.page));
-    }
-    return std::nullopt;
+    return ServeVerdict::kInFlux;
   }
-
-  if (e.owner) {
-    if (e.granted_to == src && e.grant_seq == req.fault_seq) {
-      // A delayed duplicate of a transfer request we already answered, arriving after we
-      // re-acquired the page. The requester is long done with that fault (had it still been
-      // waiting, ownership could never have chased back through it to us), so serving a fresh
-      // transfer here would demote us and orphan the page: the requester drops the unexpected
-      // reply and nobody is left owning it. Grant records persist across re-acquisition
-      // (FinishFetch keeps them) precisely so this duplicate is recognizable.
-      stats_.stale_transfer_dups_ignored++;
-      if (NodeTracer* tr = tracer(); tr != nullptr) {
-        tr->Instant("dsm", "stale_dup " + FlowName(req.page));
-      }
-      return std::nullopt;
-    }
-    if (e.pending_use) {
-      // The page just arrived for our own blocked faulters and none has run yet. Serving now —
-      // even a read copy, which under write-invalidate demotes us and turns the blocked write
-      // into an upgrade round — restarts their fault from scratch; with service latency above
-      // the Mirage window that regresses into a livelock where no writer ever completes an
-      // access. Ignore the request; the retransmission arrives after the waiters have run.
-      stats_.use_deferrals++;
-      if (NodeTracer* tr = tracer(); tr != nullptr) {
-        tr->Instant("dsm", "defer_use " + FlowName(req.page));
-      }
-      return std::nullopt;
-    }
-    if (proto(req.page).TransfersOwnership(req.mode) && config_.mirage_window > 0 &&
-        host_->Clock() < e.hold_until) {
-      // Mirage hold window: ignore the request; the requester's retransmission will retry.
-      stats_.mirage_deferrals++;
-      if (NodeTracer* tr = tracer(); tr != nullptr) {
-        tr->Instant("dsm", "defer_mirage " + FlowName(req.page));
-      }
-      return std::nullopt;
-    }
-    host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
-    stats_.page_requests_served++;
-    return proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq);
+  if (!e.owner) {
+    return ServeVerdict::kRedirect;
   }
+  if (granted) {
+    // A delayed duplicate of a transfer request we already answered, arriving after we
+    // re-acquired the page. The requester is long done with that fault (had it still been
+    // waiting, ownership could never have chased back through it to us), so serving a fresh
+    // transfer here would demote us and orphan the page: the requester drops the unexpected
+    // reply and nobody is left owning it.
+    return ServeVerdict::kStaleDuplicate;
+  }
+  if (e.pending_use) {
+    // The page just arrived for our own blocked faulters and none has run yet. Serving now —
+    // even a read copy, which under write-invalidate demotes us and turns the blocked write
+    // into an upgrade round — restarts their fault from scratch; with service latency above
+    // the Mirage window that regresses into a livelock where no writer ever completes an
+    // access. Ignore the request; the retransmission arrives after the waiters have run.
+    return ServeVerdict::kUseDefer;
+  }
+  if (proto(page).TransfersOwnership(mode) && config_.mirage_window > 0 &&
+      host_->Clock() < e.hold_until) {
+    // Mirage hold window: ignore the request; the requester's retransmission will retry.
+    return ServeVerdict::kMirageDefer;
+  }
+  return ServeVerdict::kServe;
+}
 
-  // Not the owner: redirect the requester along the probable-owner chain.
-  host_->Charge(TimeCategory::kDataTransfer, costs_->page_redirect);
-  stats_.page_forwards++;
-  net::WireWriter w;
-  w.Put(ReplyHeader{kReplyRedirect, e.probable_owner, 0, 0});
-  return w.Take();
+std::nullopt_t DsmNode::Ignore(uint64_t& counter, const char* what, PageId page) {
+  counter++;
+  if (NodeTracer* tr = tracer(); tr != nullptr) {
+    tr->Instant("dsm", what + FlowName(page));
+  }
+  return std::nullopt;
+}
+
+net::Payload DsmNode::ReserveGrant(NodeId src, PageId page) {
+  stats_.grant_reserves++;
+  DFIL_ORACLE(oracle_, OnServeGrantReserve(self_, src, page));
+  return BuildDataReply(page, /*transfer_ownership=*/true,
+                        /*include_copyset=*/proto(page).TracksCopyset(), /*from_grant=*/true);
 }
 
 net::Payload DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags) {
@@ -456,7 +456,7 @@ net::Payload DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags
       table_[p].copyset |= Bit(src);
     }
   }
-  DFIL_ORACLE(OnServeRead(self_, src, page));
+  DFIL_ORACLE(oracle_, OnServeRead(self_, src, page));
   return BuildDataReply(page, /*transfer_ownership=*/false, /*include_copyset=*/false,
                         /*from_grant=*/false, extra_flags);
 }
@@ -470,7 +470,7 @@ net::Payload DsmNode::ServeTransfer(NodeId src, PageId page, uint32_t fault_seq)
   }
   net::Payload reply = BuildDataReply(page, /*transfer_ownership=*/true,
                                       /*include_copyset=*/proto(page).TracksCopyset());
-  DFIL_ORACLE(OnServeTransfer(self_, src, page));
+  DFIL_ORACLE(oracle_, OnServeTransfer(self_, src, page));
   for (PageId p : layout_->GroupPagesOf(page)) {
     PageEntry& ge = table_[p];
     ge.granted_to = src;
@@ -491,15 +491,24 @@ net::Payload DsmNode::BuildDataReply(PageId page, bool transfer_ownership, bool 
       static_cast<uint8_t>((transfer_ownership ? kReplyFlagOwnership : 0) | extra_flags);
   net::WireWriter w;
   w.Put(ReplyHeader{kReplyOk, self_, flags, static_cast<uint16_t>(group.size())});
-  const size_t ps = layout_->page_size();
   for (PageId p : group) {
     const PageEntry& e = table_[p];
-    const uint64_t copyset = include_copyset ? (from_grant ? e.grant_copyset : e.copyset) : 0;
-    w.Put(PageBlockHeader{p, copyset});
-    w.PutBytes(replica_.data() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
+    PutPageBlock(w, p, include_copyset ? (from_grant ? e.grant_copyset : e.copyset) : 0);
   }
-  stats_.page_data_bytes += group.size() * ps;
   return w.Take();
+}
+
+void DsmNode::PutPageBlock(net::WireWriter& w, PageId page, uint64_t copyset) {
+  w.Put(PageBlockHeader{page, copyset});
+  w.PutBytes(PageBytes(page), layout_->page_size());
+  stats_.page_data_bytes += layout_->page_size();
+}
+
+DsmNode::PageBlockHeader DsmNode::GetPageBlock(net::WireReader& r) {
+  const auto block = r.Get<PageBlockHeader>();
+  r.GetBytes(PageBytes(block.page), layout_->page_size());
+  host_->Charge(TimeCategory::kDataTransfer, costs_->page_install);
+  return block;
 }
 
 void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
@@ -524,14 +533,9 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
   }
 
   // Install the data for every page in the reply (the whole group).
-  const size_t ps = layout_->page_size();
   uint64_t copyset = 0;
   for (uint16_t i = 0; i < h.npages; ++i) {
-    const auto block = r.Get<PageBlockHeader>();
-    r.GetBytes(replica_.data() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
-               ps);
-    copyset |= block.copyset;
-    host_->Charge(TimeCategory::kDataTransfer, costs_->page_install);
+    copyset |= GetPageBlock(r).copyset;
   }
 
   if ((h.flags & kReplyFlagOwnership) == 0 && e.discard_install) {
@@ -543,7 +547,7 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
       table_[p].probable_owner = h.owner_hint;
     }
     stats_.discarded_installs++;
-    DFIL_ORACLE(OnDiscardedInstall(self_, page));
+    DFIL_ORACLE(oracle_, OnDiscardedInstall(self_, page));
     FinishFetch(page, PageState::kInvalid, /*ownership=*/false);
     return;
   }
@@ -586,15 +590,13 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
     NotePageDiscarded(e);  // a demand fetch replacing an untouched prefetched copy = waste
     e.state = new_state;
     e.owner = ownership;
-    e.fetching = false;
-    e.discard_install = false;
     e.pending_invalidate_acks = 0;
     e.trace_id = 0;
     e.diff_copy = new_state == PageState::kInvalid ? false : diff_copy;
     e.hold_until = host_->Clock() + config_.mirage_window;
     // The grant record (granted_to/grant_seq/grant_copyset) deliberately survives this fetch:
     // a delayed duplicate of the transfer request the grant answered can still arrive after we
-    // re-acquire the page, and ServePageRequest needs the record to recognize (and ignore) it.
+    // re-acquire the page, and ServeGuard needs the record to recognize (and ignore) it.
     // Keeping it is safe — the re-serve path additionally requires state kInvalid and !owner.
     if (ownership) {
       e.probable_owner = self_;
@@ -608,10 +610,7 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
     // either faulting thread completing its access. Unlike `fetching`, the flag clears through
     // local scheduling alone (the first woken waiter's access), so deferring on it cannot
     // deadlock. (Assignment, not |=: a fetch that settles with no waiters heals a stale flag.)
-    e.pending_use = !e.waiters.empty() && new_state != PageState::kInvalid;
-    while (threads::ServerThread* t = e.waiters.PopFront()) {
-      host_->Wake(t);
-    }
+    e.pending_use = SettleFetch(e) && new_state != PageState::kInvalid;
   }
   if (config_.adapt_protocols && new_state != PageState::kInvalid) {
     // The reply's diff tag is authoritative: the serving owner decided the group's mode, and the
@@ -621,12 +620,35 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
     st.calm = 0;
   }
   if (ownership && new_state == PageState::kReadWrite) {
-    DFIL_ORACLE(OnWriteGranted(self_, page));
+    DFIL_ORACLE(oracle_, OnWriteGranted(self_, page));
   } else if (new_state == PageState::kReadWrite) {
-    DFIL_ORACLE(OnDiffWriteInstall(self_, page));
+    DFIL_ORACLE(oracle_, OnDiffWriteInstall(self_, page));
   } else if (new_state == PageState::kReadOnly) {
-    DFIL_ORACLE(OnInstallRead(self_, page));
+    DFIL_ORACLE(oracle_, OnInstallRead(self_, page));
   }
+  RetireFetch();
+}
+
+void DsmNode::BeginFetch(PageId page, AccessMode mode) {
+  PageEntry& e = table_[page];
+  e.fetching = true;
+  e.fetch_mode = mode;
+  ++e.fetch_seq;  // a fresh fault; redirect re-sends within it keep the same seq
+  ++pending_fetches_;
+}
+
+bool DsmNode::SettleFetch(PageEntry& e) {
+  e.fetching = false;
+  e.discard_install = false;
+  bool had_waiters = false;
+  while (threads::ServerThread* t = e.waiters.PopFront()) {
+    had_waiters = true;
+    host_->Wake(t);
+  }
+  return had_waiters;
+}
+
+void DsmNode::RetireFetch() {
   DFIL_CHECK_GT(pending_fetches_, 0);
   if (--pending_fetches_ == 0) {
     host_->OnFetchesDrained();
@@ -694,10 +716,7 @@ void DsmNode::StartBulkFetch(PageId first, int count) {
       ++run_end;
     }
     for (PageId q = p; q < run_end; ++q) {
-      PageEntry& e = table_[q];
-      e.fetching = true;
-      e.fetch_mode = AccessMode::kRead;
-      ++pending_fetches_;
+      BeginFetch(q, AccessMode::kRead);
     }
     host_->Charge(TimeCategory::kDataTransfer, costs_->prefetch_issue);
     SendBulkRequest(p, static_cast<uint16_t>(run_end - p), target);
@@ -734,19 +753,20 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
   if (NodeTracer* tr = tracer(); tr != nullptr) {
     tr->Flow(kFlowStep, "dsm", BulkFlowName(req.first), tr->current());
   }
-  // Served idempotently from current state, like single-page replies: pages this node owns ship
-  // as read-only copies, everything else is reported back as a miss for the requester to re-fault
-  // through the owner-forwarding directory. Never defers and never transfers ownership, so
-  // in-flux entries, the Mirage window, and the grant record are untouched.
+  // Served idempotently from current state, like single-page replies: pages the serve guard
+  // lets this node serve ship as read-only copies, every other verdict is reported back as a miss
+  // for the requester to re-fault through the owner-forwarding directory. Never defers and never
+  // transfers ownership, so in-flux entries, the Mirage window, and the grant record are
+  // untouched.
   std::vector<PageId> hits;
   std::vector<PageId> misses;
   const uint64_t end =
       std::min<uint64_t>(static_cast<uint64_t>(req.first) + req.count, table_.size());
   for (uint64_t p64 = req.first; p64 < end; ++p64) {
     const PageId p = static_cast<PageId>(p64);
-    const PageEntry& e = table_[p];
-    const bool servable = e.owner && !e.fetching && !e.pending_use &&
-                          page_pcp(p) != Pcp::kMigratory && layout_->GroupOf(p) == kNoGroup;
+    const bool servable =
+        ServeGuard(src, p, AccessMode::kRead, std::nullopt) == ServeVerdict::kServe &&
+        page_pcp(p) != Pcp::kMigratory && layout_->GroupOf(p) == kNoGroup;
     (servable ? hits : misses).push_back(p);
   }
   if (!hits.empty()) {
@@ -758,7 +778,6 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
   net::WireWriter w;
   w.Put(BulkReplyHeader{self_, req.first, static_cast<uint16_t>(hits.size()),
                         static_cast<uint16_t>(misses.size())});
-  const size_t ps = layout_->page_size();
   for (PageId p : hits) {
     PageEntry& e = table_[p];
     if (proto(p).TracksCopyset()) {
@@ -770,11 +789,9 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     // Only set when sync-batch is on, so off-mode bulk replies stay byte-identical.
     const uint64_t diff_tag =
         (sync_batch_ && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
-    w.Put(PageBlockHeader{p, diff_tag});
-    w.PutBytes(replica_.data() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
-    DFIL_ORACLE(OnServeRead(self_, src, p));
+    PutPageBlock(w, p, diff_tag);
+    DFIL_ORACLE(oracle_, OnServeRead(self_, src, p));
   }
-  stats_.page_data_bytes += hits.size() * ps;
   for (PageId p : misses) {
     w.Put(p);
   }
@@ -792,12 +809,8 @@ void DsmNode::OnBulkReply(net::Payload reply) {
                              std::to_string(h.nmisses));
     }
   }
-  const size_t ps = layout_->page_size();
   for (uint16_t i = 0; i < h.npages; ++i) {
-    const auto block = r.Get<PageBlockHeader>();
-    r.GetBytes(replica_.data() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
-               ps);
-    host_->Charge(TimeCategory::kDataTransfer, costs_->page_install);
+    const PageBlockHeader block = GetPageBlock(r);
     FinishBulkPage(block.page, /*installed=*/true, h.owner_hint,
                    /*diff_copy=*/(block.copyset & 1) != 0);
   }
@@ -811,16 +824,13 @@ void DsmNode::OnBulkReply(net::Payload reply) {
 void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, bool diff_copy) {
   PageEntry& e = table_[page];
   DFIL_CHECK(e.fetching) << "bulk reply for page " << page << " we are not fetching";
-  e.fetching = false;
   if (installed && e.discard_install) {
     // Invalidated while the bulk bytes were in flight; installing would resurrect a stale
     // untracked copy. Treat it as a miss: waiters re-fault, a pure prefetch just lapses.
     installed = false;
     stats_.discarded_installs++;
-    DFIL_ORACLE(OnDiscardedInstall(self_, page));
+    DFIL_ORACLE(oracle_, OnDiscardedInstall(self_, page));
   }
-  e.discard_install = false;
-  bool had_waiters = false;
   if (installed) {
     e.state = PageState::kReadOnly;
     e.owner = false;
@@ -833,26 +843,15 @@ void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, boo
     e.hold_until = host_->Clock() + config_.mirage_window;
     // Any grant record survives (see FinishFetch); harmless here since state is now kReadOnly.
     stats_.prefetched_pages++;
-    DFIL_ORACLE(OnInstallRead(self_, page));
-    while (threads::ServerThread* t = e.waiters.PopFront()) {
-      had_waiters = true;
-      host_->Wake(t);
-    }
-    if (!had_waiters) {
-      // Nobody demanded this page yet; track it so an untouched death can be reported as waste.
-      e.prefetched_unused = true;
-    }
-  } else {
-    // Miss: the replier does not own this page (or it is in flux there). Waiters re-fault through
-    // the single-page owner-forwarding path from their Access() loop; a pure prefetch just lapses.
-    while (threads::ServerThread* t = e.waiters.PopFront()) {
-      host_->Wake(t);
-    }
+    DFIL_ORACLE(oracle_, OnInstallRead(self_, page));
   }
-  DFIL_CHECK_GT(pending_fetches_, 0);
-  if (--pending_fetches_ == 0) {
-    host_->OnFetchesDrained();
+  // On a miss (the replier does not own this page, or it is in flux there) waiters re-fault
+  // through the single-page owner-forwarding path from their Access() loop and a pure prefetch
+  // just lapses. An install nobody demanded yet is tracked so an untouched death counts as waste.
+  if (!SettleFetch(e) && installed) {
+    e.prefetched_unused = true;
   }
+  RetireFetch();
 }
 
 // --- Rebalance page re-homing ----------------------------------------------------------------
@@ -878,10 +877,7 @@ void DsmNode::RequestRehome(const std::vector<PageId>& pages, NodeId source) {
     if (e.owner || e.fetching || layout_->GroupOf(p) != kNoGroup || page_pcp(p) == Pcp::kDiff) {
       continue;
     }
-    e.fetching = true;
-    e.fetch_mode = AccessMode::kWrite;
-    ++e.fetch_seq;  // a fresh fault, exactly like StartDemandFetch
-    ++pending_fetches_;
+    BeginFetch(p, AccessMode::kWrite);
     batch.emplace_back(p, e.fetch_seq);
     if (batch.size() >= kMaxBulkPages) {
       flush();
@@ -931,32 +927,21 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
       misses.push_back(preq.page);
       continue;
     }
-    PageEntry& e = table_[preq.page];
-    if (e.granted_to == src && e.grant_seq == preq.fault_seq &&
-        e.state == PageState::kInvalid && !e.owner) {
-      // A retransmission of the exact fault our last transfer answered (the reply was lost);
-      // re-serve the identical transfer from the stale frame, as ServePageRequest does.
-      stats_.grant_reserves++;
-      DFIL_ORACLE(OnServeGrantReserve(self_, src, preq.page));
-      served.push_back({preq.page,
-                        BuildDataReply(preq.page, /*transfer_ownership=*/true,
-                                       /*include_copyset=*/proto(preq.page).TracksCopyset(),
-                                       /*from_grant=*/true)});
+    const ServeVerdict verdict = ServeGuard(src, preq.page, AccessMode::kWrite, preq.fault_seq);
+    if (verdict == ServeVerdict::kReserve) {
+      served.push_back({preq.page, ReserveGrant(src, preq.page)});
       continue;
     }
-    // Unservable pages are misses, never deferrals: the batch reply must not stall on one page
+    if (verdict == ServeVerdict::kStaleDuplicate) {
+      Ignore(stats_.stale_transfer_dups_ignored, "stale_dup ", preq.page);
+    }
+    // Every other verdict is a miss, never a deferral: the batch reply must not stall on one page
     // in flux, and a missed page simply stays home until a demand fault moves it.
-    const bool servable = e.owner && !e.fetching && !e.pending_use &&
-                          page_pcp(preq.page) != Pcp::kDiff &&
-                          layout_->GroupOf(preq.page) == kNoGroup &&
-                          !(config_.mirage_window > 0 && host_->Clock() < e.hold_until);
-    if (!servable) {
-      stats_.rehome_misses_served++;
-      misses.push_back(preq.page);
-      continue;
+    std::optional<net::Payload> reply;
+    if (verdict == ServeVerdict::kServe && page_pcp(preq.page) != Pcp::kDiff &&
+        layout_->GroupOf(preq.page) == kNoGroup) {
+      reply = proto(preq.page).OnRemoteRequest(src, preq.page, AccessMode::kWrite, preq.fault_seq);
     }
-    std::optional<net::Payload> reply =
-        proto(preq.page).OnRemoteRequest(src, preq.page, AccessMode::kWrite, preq.fault_seq);
     if (!reply.has_value()) {
       stats_.rehome_misses_served++;
       misses.push_back(preq.page);
@@ -1004,17 +989,10 @@ void DsmNode::OnRehomeReply(net::Payload reply) {
     stats_.rehome_misses++;
     PageEntry& e = table_[p];
     DFIL_CHECK(e.fetching) << "rehome miss for page " << p << " we are not fetching";
-    e.fetching = false;
-    e.discard_install = false;
     // Anyone who demand-faulted while the re-home was in flight re-faults through Access();
     // the page simply stays at its current owner.
-    while (threads::ServerThread* t = e.waiters.PopFront()) {
-      host_->Wake(t);
-    }
-    DFIL_CHECK_GT(pending_fetches_, 0);
-    if (--pending_fetches_ == 0) {
-      host_->OnFetchesDrained();
-    }
+    SettleFetch(e);
+    RetireFetch();
   }
 }
 
@@ -1059,7 +1037,7 @@ std::optional<net::Payload> DsmNode::ServeInvalidate(NodeId src, net::WireReader
     if (e.state == PageState::kReadOnly) {
       e.state = PageState::kInvalid;
       NotePageDiscarded(e);
-      DFIL_ORACLE(OnInvalidated(self_, p));
+      DFIL_ORACLE(oracle_, OnInvalidated(self_, p));
     }
   }
   return net::Payload{};  // empty ack

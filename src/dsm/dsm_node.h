@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
@@ -249,6 +250,31 @@ class DsmNode {
 
   // Handles an incoming page request; returns the reply payload or nullopt to defer.
   std::optional<net::Payload> ServePageRequest(NodeId src, net::WireReader body);
+
+  // --- Serve guard (shared by the page, bulk and re-home serve handlers) ---
+
+  // What the owner side may do with a request from `src` for `page`, in precedence order. Each
+  // handler maps the verdict to its own reply: a page request answers kReserve, kServe and
+  // kRedirect and ignores the rest (the requester retransmits); bulk and re-home batches turn
+  // every verdict but kServe (and, for re-home, kReserve) into a miss. DESIGN.md §3 ("The DSM
+  // fetch lifecycle") tabulates it.
+  enum class ServeVerdict : uint8_t {
+    kReserve,         // retransmission of the fault our last grant answered: re-serve the grant
+    kInFlux,          // our own fetch or upgrade of the page is outstanding
+    kStaleDuplicate,  // delayed duplicate of a request our grant answered; we own the page again
+    kUseDefer,        // installed for blocked local faulters that have not run yet
+    kMirageDefer,     // an ownership transfer inside the Mirage hold window
+    kServe,           // we own the page and may serve it now
+    kRedirect,        // not the owner: point the requester along the probable-owner chain
+  };
+  // Pure: reads the page entry and the clock only. `fault_seq` is the requester's fault number
+  // (nullopt for bulk requests, which carry none and so never match a grant record).
+  ServeVerdict ServeGuard(NodeId src, PageId page, AccessMode mode,
+                          std::optional<uint32_t> fault_seq) const;
+  // Counts an ignored request in `counter` and marks it with a trace instant "<what>p<page>".
+  std::nullopt_t Ignore(uint64_t& counter, const char* what, PageId page);
+  // Re-serves the grant record's transfer of `page` to `src` (verdict kReserve).
+  net::Payload ReserveGrant(NodeId src, PageId page);
   std::optional<net::Payload> ServeInvalidate(NodeId src, net::WireReader body);
   void OnPageReply(PageId page, AccessMode mode, net::Payload reply);
 
@@ -261,7 +287,9 @@ class DsmNode {
   // demotes this owner and records the grant.
   net::Payload ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags);
   net::Payload ServeTransfer(NodeId src, PageId page, uint32_t fault_seq);
-  PageProtocol& proto(PageId page) { return *protocols_[static_cast<size_t>(page_pcp(page))]; }
+  PageProtocol& proto(PageId page) const {
+    return *protocols_[static_cast<size_t>(page_pcp(page))];
+  }
 
   // --- Per-page-group adapter ---
 
@@ -303,6 +331,16 @@ class DsmNode {
   // `diff_copy` installs the page as a multiple-writer copy (from the block's diff tag).
   void FinishBulkPage(PageId page, bool installed, NodeId owner_hint, bool diff_copy = false);
 
+  // --- Fetch lifecycle (every exchange: demand fault, upgrade, bulk prefetch, re-home) ---
+
+  // Marks `page` in flight with `mode` as a fresh fault (new fetch_seq) and counts it pending.
+  void BeginFetch(PageId page, AccessMode mode);
+  // Ends the page's fetch: clears the in-flight flags and wakes its waiters (they re-check in
+  // Access()). Returns whether any thread was waiting.
+  bool SettleFetch(PageEntry& e);
+  // Retires one pending fetch (or acked diff merge); the last one lets a sync point proceed.
+  void RetireFetch();
+
   // Marks a present page as touched; discarding an untouched prefetched copy counts as waste.
   // Also retires the use-once hold: a page fetched for blocked faulters becomes servable again
   // the moment any local access lands on it.
@@ -322,6 +360,16 @@ class DsmNode {
   // `from_grant` re-serves a lost transfer from the grant record instead of the live copyset.
   net::Payload BuildDataReply(PageId page, bool transfer_ownership, bool include_copyset,
                               bool from_grant = false, uint8_t extra_flags = 0);
+
+  // Page blocks, the unit of page data on the wire (single-page and bulk replies): a header
+  // naming the page plus a copyset word, then the page bytes.
+  struct PageBlockHeader;
+  void PutPageBlock(net::WireWriter& w, PageId page, uint64_t copyset);
+  // Reads one block into the replica and charges its install.
+  PageBlockHeader GetPageBlock(net::WireReader& r);
+  std::byte* PageBytes(PageId page) {
+    return replica_.data() + (static_cast<GlobalAddr>(page) << layout_->page_shift());
+  }
 
   bool PagePresent(const PageEntry& e, AccessMode mode) const {
     if (mode == AccessMode::kRead) {

@@ -14,18 +14,6 @@
 #include "src/dsm/coherence_oracle.h"
 #include "src/net/packet.h"
 
-// Coherence-oracle hook, as in dsm_node.cc but through the strategy's node reference.
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
-#define DFIL_ORACLE(call)         \
-  if (node_.oracle_ == nullptr) { \
-  } else /* NOLINT */             \
-    node_.oracle_->call
-#else
-#define DFIL_ORACLE(call) \
-  do {                    \
-  } while (false)
-#endif
-
 namespace dfil::dsm {
 namespace {
 
@@ -37,10 +25,7 @@ PageEntry& PageProtocol::entry(PageId page) { return node_.table_[page]; }
 
 FaultResult PageProtocol::StartDemandFetch(PageId page, AccessMode mode) {
   PageEntry& e = entry(page);
-  e.fetching = true;
-  e.fetch_mode = mode;
-  ++e.fetch_seq;  // a fresh fault; redirect re-sends within it keep the same seq
-  ++node_.pending_fetches_;
+  node_.BeginFetch(page, mode);
   // Allocate the causal trace id for this fetch; the request, every chase hop, the owner's serve,
   // and the final install all carry it.
   e.trace_id = node_.host_->tracer().NewTraceId();
@@ -159,13 +144,12 @@ std::optional<net::Payload> DiffProtocol::OnRemoteRequest(NodeId src, PageId pag
 void DiffProtocol::TwinInPlace(PageId page) {
   PageEntry& e = entry(page);
   const size_t ps = node_.layout_->page_size();
-  const std::byte* cur =
-      node_.replica_.data() + (static_cast<GlobalAddr>(page) << node_.layout_->page_shift());
+  const std::byte* cur = node_.PageBytes(page);
   twins_[page].assign(cur, cur + ps);
   e.state = PageState::kReadWrite;
   node_.stats_.diff_twins_created++;
   node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_twin_copy);
-  DFIL_ORACLE(OnTwinWrite(node_.self_, page));
+  DFIL_ORACLE(node_.oracle_, OnTwinWrite(node_.self_, page));
 }
 
 void DiffProtocol::InstallWritableCopy(PageId page) {
@@ -214,8 +198,7 @@ void DiffProtocol::FlushTwins() {
   };
   std::map<NodeId, std::vector<PageDiff>> by_home;
   for (const auto& [p, twin] : twins_) {
-    const std::byte* cur =
-        node_.replica_.data() + (static_cast<GlobalAddr>(p) << node_.layout_->page_shift());
+    const std::byte* cur = node_.PageBytes(p);
     node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_encode_page);
     std::vector<net::DiffRun> runs = net::DiffPageRuns(twin.data(), cur, ps);
     if (runs.empty()) {
@@ -236,8 +219,7 @@ void DiffProtocol::FlushTwins() {
     w.Put(net::DiffMergeHeader{flush_epoch_, static_cast<uint16_t>(pages.size())});
     for (const PageDiff& d : pages) {
       w.Put(net::DiffPageHeader{d.page, static_cast<uint16_t>(d.runs.size())});
-      const std::byte* cur =
-          node_.replica_.data() + (static_cast<GlobalAddr>(d.page) << node_.layout_->page_shift());
+      const std::byte* cur = node_.PageBytes(d.page);
       for (const net::DiffRun& run : d.runs) {
         w.Put(run);
         w.PutBytes(cur + run.offset, run.len);
@@ -293,10 +275,7 @@ void DiffProtocol::FlushTwins() {
           if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
             tr->Flow(kFlowEnd, "dsm", "diff e" + std::to_string(epoch), flow);
           }
-          DFIL_CHECK_GT(node_.pending_fetches_, 0);
-          if (--node_.pending_fetches_ == 0) {
-            node_.host_->OnFetchesDrained();
-          }
+          node_.RetireFetch();
         },
         TimeCategory::kDataTransfer);
   }
@@ -339,8 +318,7 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
     // their home; a page we no longer own can only appear in pathological injected schedules,
     // and its runs are consumed without touching the frame.
     const bool own = node_.table_[ph.page].owner;
-    std::byte* frame =
-        node_.replica_.data() + (static_cast<GlobalAddr>(ph.page) << node_.layout_->page_shift());
+    std::byte* frame = node_.PageBytes(ph.page);
     std::vector<net::DiffRun> runs;
     runs.reserve(ph.nruns);
     for (uint16_t r = 0; r < ph.nruns; ++r) {
@@ -358,7 +336,7 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
       node_.NoteAdaptTraffic(ph.page);  // incoming merges keep the group hot (and pinned)
     }
     applied_any = true;
-    DFIL_ORACLE(OnDiffMergeApplied(node_.self_, src, ph.page, h.epoch, runs));
+    DFIL_ORACLE(node_.oracle_, OnDiffMergeApplied(node_.self_, src, ph.page, h.epoch, runs));
   }
   if (applied_any) {
     node_.stats_.diff_merges_applied++;

@@ -98,6 +98,12 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
   }
   host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
+  machine_->Send(SingletonDatagram(dst, kind, service, req_id, body, trace), host_->Clock());
+}
+
+sim::Datagram PacketEndpoint::SingletonDatagram(NodeId dst, Kind kind, Service service,
+                                                uint64_t req_id, const Payload& body,
+                                                uint64_t trace) {
   WireWriter w;
   w.Put(Header{kind, static_cast<uint16_t>(service), req_id, trace});
   w.PutBytes(body.data(), body.size());
@@ -109,7 +115,7 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
   d.klass = static_cast<sim::MsgClass>(kind);
   d.trace = trace;
   d.payload = w.Take();
-  machine_->Send(std::move(d), host_->Clock());
+  return d;
 }
 
 namespace {
@@ -253,34 +259,31 @@ void PacketEndpoint::FlushQueue(NodeId dst) {
 }
 
 void PacketEndpoint::SendFrames(NodeId dst, std::vector<QueuedFrame>& frames) {
+  if (frames.size() == 1) {
+    // A singleton flush uses the legacy wire format — byte-identical to an uncoalesced send.
+    const QueuedFrame& f = frames[0];
+    machine_->Send(SingletonDatagram(dst, f.kind, f.service, f.req_id, f.body, f.trace),
+                   host_->Clock());
+    return;
+  }
+  WireWriter w;
+  w.Put(Header{Kind::kPacked, 0, static_cast<uint64_t>(frames.size()), 0});
+  for (QueuedFrame& f : frames) {
+    w.Put(static_cast<uint32_t>(sizeof(Header) + f.body.size()));
+    w.Put(Header{f.kind, static_cast<uint16_t>(f.service), f.req_id, f.trace});
+    w.PutBytes(f.body.data(), f.body.size());
+  }
+  if (NodeTracer& tracer = host_->tracer(); tracer.enabled()) {
+    tracer.Instant("net", "coalesce " + std::to_string(frames.size()) + "f -> n" +
+                              std::to_string(dst));
+  }
+  RecordDatagram(w.size(), frames.size());
   sim::Datagram d;
   d.src = self_;
   d.dst = dst;
-  WireWriter w;
-  if (frames.size() == 1) {
-    // A singleton flush uses the legacy wire format — byte-identical to an uncoalesced send.
-    QueuedFrame& f = frames[0];
-    w.Put(Header{f.kind, static_cast<uint16_t>(f.service), f.req_id, f.trace});
-    w.PutBytes(f.body.data(), f.body.size());
-    d.type = static_cast<uint32_t>(f.service);
-    d.klass = static_cast<sim::MsgClass>(f.kind);
-    d.trace = f.trace;
-  } else {
-    w.Put(Header{Kind::kPacked, 0, static_cast<uint64_t>(frames.size()), 0});
-    for (QueuedFrame& f : frames) {
-      w.Put(static_cast<uint32_t>(sizeof(Header) + f.body.size()));
-      w.Put(Header{f.kind, static_cast<uint16_t>(f.service), f.req_id, f.trace});
-      w.PutBytes(f.body.data(), f.body.size());
-    }
-    d.type = 0;
-    d.klass = sim::MsgClass::kPacked;
-    d.trace = frames[0].trace;
-    if (NodeTracer& tracer = host_->tracer(); tracer.enabled()) {
-      tracer.Instant("net", "coalesce " + std::to_string(frames.size()) + "f -> n" +
-                                std::to_string(dst));
-    }
-  }
-  RecordDatagram(w.size(), frames.size());
+  d.type = 0;
+  d.klass = sim::MsgClass::kPacked;
+  d.trace = frames[0].trace;
   d.payload = w.Take();
   machine_->Send(std::move(d), host_->Clock());
 }
@@ -442,19 +445,9 @@ void PacketEndpoint::BroadcastRaw(Service service, Payload body, TimeCategory ch
   stats_.raw_sent++;
   host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
-  const uint64_t trace = CurTrace();
-  WireWriter w;
-  w.Put(Header{Kind::kRaw, static_cast<uint16_t>(service), 0, trace});
-  w.PutBytes(body.data(), body.size());
-  RecordDatagram(w.size(), 1);
-  sim::Datagram d;
-  d.src = self_;
-  d.dst = sim::kBroadcastDst;
-  d.type = static_cast<uint32_t>(service);
-  d.klass = sim::MsgClass::kRaw;
-  d.trace = trace;
-  d.payload = w.Take();
-  machine_->Broadcast(std::move(d), host_->Clock());
+  machine_->Broadcast(
+      SingletonDatagram(sim::kBroadcastDst, Kind::kRaw, service, 0, body, CurTrace()),
+      host_->Clock());
 }
 
 void PacketEndpoint::OnDatagram(sim::Datagram d) {
@@ -552,7 +545,6 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     // are recovered by Packet).
     if (host_->InCriticalSection()) {
       stats_.deferred_requests++;
-      machine_->net_stats().deferred_requests++;
       return;
     }
     // Duplicate of a request we already served: re-send the cached reply rather than re-running
@@ -578,7 +570,6 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   if (!reply.has_value()) {
     elide_current_reply_ = false;
     stats_.deferred_requests++;
-    machine_->net_stats().deferred_requests++;
     return;
   }
   if (entry.idempotent) {

@@ -272,6 +272,10 @@ class PacketEndpoint {
   void FlushBatches();
   void FlushQueue(NodeId dst);
   void SendFrames(NodeId dst, std::vector<QueuedFrame>& frames);
+  // Builds the legacy (unpacked) datagram carrying one frame and records it in the datagram
+  // stats: every uncoalesced send, broadcast and singleton flush goes out through it.
+  sim::Datagram SingletonDatagram(NodeId dst, Kind kind, Service service, uint64_t req_id,
+                                  const Payload& body, uint64_t trace);
   // Datagram-level stats: wire bytes (link framing + payload) and the per-datagram histograms.
   void RecordDatagram(size_t payload_bytes, size_t nframes);
   // Initial retransmission timeout for a request to `dst` (fixed when coalescing is off; the

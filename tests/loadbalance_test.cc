@@ -14,6 +14,7 @@
 #include "src/core/config.h"
 #include "src/core/global_array.h"
 #include "src/core/node_env.h"
+#include "src/core/node_runtime.h"
 #include "src/dsm/coherence_oracle.h"
 #include "src/net/packet.h"
 #include "src/sim/fault_plan.h"
@@ -296,6 +297,54 @@ TEST(BalancerFaultTest, DuplicatedMigratesAndRehomesApplyExactlyOnce) {
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
   EXPECT_GE(SumCounter(r.report, "core.filaments_migrated"), 1u);
   EXPECT_GE(r.report.TotalDsm().pages_rehomed, 1u);
+}
+
+TEST(BalancerFaultTest, DelayedRehomeDuplicateCannotOrphanARetakenPage) {
+  // The copy of a re-home request reaches the source 150 ms late, after the source has taken the
+  // page back with an ordinary write fault. Serving it would transfer ownership to a requester
+  // that finished that fetch long ago and drops the reply, leaving the page with no owner: the
+  // serve guard must recognize the copy as a stale duplicate.
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.seed = 7;
+  sim::FaultRule dup;
+  dup.type = static_cast<uint32_t>(net::Service::kRehomePages);
+  dup.duplicate = 1.0;
+  dup.delay_min = Milliseconds(150.0);
+  dup.delay_max = Milliseconds(150.0);
+  cfg.fault_plan.rules.push_back(dup);
+  dsm::CoherenceOracle oracle;
+  cfg.coherence_oracle = &oracle;
+  Cluster cluster(cfg);
+  const GlobalAddr addr = cluster.layout().AllocPadded(sizeof(int64_t), "rehomed");
+  cluster.layout().SetInitialOwner(addr, sizeof(int64_t), 1);
+  const PageId page = cluster.layout().PageOf(addr);
+  std::vector<int64_t> seen(2, 0);
+  const RunReport report = cluster.Run([&](NodeEnv& env) {
+    env.Barrier();
+    if (env.node() == 0) {
+      env.runtime().dsm().RequestRehome({page}, 1);
+    }
+    env.Barrier();
+    if (env.node() == 1) {
+      env.Write<int64_t>(addr, 42);
+      env.ChargeWork(Milliseconds(400.0));
+    }
+    env.Barrier();
+    if (env.node() == 0) {
+      seen[0] = env.Read<int64_t>(addr);
+    }
+    env.Barrier();
+    if (env.node() == 1) {
+      seen[1] = env.Read<int64_t>(addr);
+    }
+    env.Barrier();
+  });
+  ASSERT_TRUE(report.completed) << report.deadlock_report;
+  EXPECT_EQ(seen[0], 42);
+  EXPECT_EQ(seen[1], 42);
+  EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+  EXPECT_GE(report.TotalDsm().stale_transfer_dups_ignored, 1u);
 }
 
 // --- ClusterConfig::Validate on the balancer block -------------------------------------------
