@@ -100,6 +100,8 @@ RunReport Cluster::Run(const NodeMain& node_main) {
   report.deadlock_report = sim_result.deadlock_report;
   report.makespan = sim_result.makespan;
   report.events = sim_result.events_dispatched;
+  report.horizon_scans = machine_->horizon_scans();
+  report.node_steps = machine_->node_steps();
   report.net = machine_->net_stats();
   report.medium_busy = machine_->network().MediumBusyTime();
   report.pcp = dsm::PcpName(config_.dsm.pcp);
@@ -141,6 +143,7 @@ RunReport Cluster::Run(const NodeMain& node_main) {
     nr.metrics = node->metrics();
     nr.sent_by_service = node->packet().sent_by_service();
     nr.page_heat = node->dsm().fault_heat();
+    report.dsm_slow_accesses += node->dsm().slow_accesses();
     report.nodes.push_back(nr);
   }
   return report;

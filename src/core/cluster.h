@@ -66,6 +66,11 @@ struct RunReport {
   std::string deadlock_report;
   SimTime makespan = 0;             // max node clock (the program's virtual run time)
   uint64_t events = 0;
+  // Deterministic host-work proxies for tests (exported nowhere): the machine's causal-horizon
+  // host scans and node steps, and DSM Access() slow-path entries summed over nodes.
+  uint64_t horizon_scans = 0;
+  uint64_t node_steps = 0;
+  uint64_t dsm_slow_accesses = 0;
   MessageStats net;                 // cluster-wide message counters
   SimTime medium_busy = 0;          // total wire occupancy (saturation diagnostics)
   std::string pcp;                  // protocol name (PcpName), for report labelling

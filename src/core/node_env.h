@@ -48,7 +48,12 @@ class NodeEnv {
 
   // --- Distributed shared memory ---
   // Blocking access: returns a pointer valid until the next potential suspension point.
-  std::byte* AccessBytes(GlobalAddr addr, size_t len, dsm::AccessMode mode);
+  std::byte* AccessBytes(GlobalAddr addr, size_t len, dsm::AccessMode mode) {
+    if (note_writes_ && mode == dsm::AccessMode::kWrite) {
+      NoteWrite(addr);
+    }
+    return dsm_->Access(addr, len, mode);
+  }
   template <typename T>
   T Read(GlobalAddr addr) {
     return *reinterpret_cast<const T*>(AccessBytes(addr, sizeof(T), dsm::AccessMode::kRead));
@@ -116,7 +121,18 @@ class NodeEnv {
   void* user_ctx = nullptr;  // per-node application state, set by the node main
 
  private:
+  friend class NodeRuntime;
+  // Bound once by NodeRuntime's constructor, after its DSM exists.
+  void Bind(dsm::DsmNode* dsm, bool note_writes) {
+    dsm_ = dsm;
+    note_writes_ = note_writes;
+  }
+  // Write-footprint capture for rebalance page re-homing (balancer on only).
+  void NoteWrite(GlobalAddr addr);
+
   NodeRuntime* rt_;
+  dsm::DsmNode* dsm_ = nullptr;
+  bool note_writes_ = false;
 };
 
 }  // namespace dfil::core

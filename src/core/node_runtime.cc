@@ -47,6 +47,7 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
   if (config_.coherence_oracle != nullptr) {
     dsm_->AttachOracle(config_.coherence_oracle);
   }
+  env_.Bind(dsm_.get(), config_.balancer.enabled);
   pools_ = std::make_unique<PoolEngine>(this);
   fj_ = std::make_unique<FjEngine>(this);
   RegisterReduceServices();

@@ -184,23 +184,8 @@ void DsmNode::AttachOracle(CoherenceOracle* oracle) {
   }
 }
 
-std::byte* DsmNode::TryAccess(GlobalAddr addr, size_t len, AccessMode mode) {
-  DFIL_DCHECK(len > 0);
-  DFIL_DCHECK(addr + len <= replica_.size());
-  const PageId first = layout_->PageOf(addr);
-  const PageId last = layout_->PageOf(addr + len - 1);
-  for (PageId p = first; p <= last; ++p) {
-    if (!PagePresent(table_[p], mode)) {
-      return nullptr;
-    }
-  }
-  for (PageId p = first; p <= last; ++p) {
-    NotePageUsed(table_[p]);
-  }
-  return replica_.data() + addr;
-}
-
-std::byte* DsmNode::Access(GlobalAddr addr, size_t len, AccessMode mode) {
+std::byte* DsmNode::AccessSlow(GlobalAddr addr, size_t len, AccessMode mode) {
+  slow_accesses_++;
   for (;;) {
     const PageId first = layout_->PageOf(addr);
     const PageId last = layout_->PageOf(addr + len - 1);

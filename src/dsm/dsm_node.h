@@ -1,9 +1,9 @@
 // Per-node engine of the multi-threaded distributed shared memory (paper §3).
 //
 // Each node holds a full replica of the shared region plus a page table. Access goes through
-// Access()/TryAccess(): when a page is missing or under-privileged the calling server thread is
-// suspended on the page's waiter queue and a page request goes out through Packet; meanwhile the
-// runtime runs other server threads, which is how DF overlaps communication with computation.
+// Access(): when a page is missing or under-privileged the calling server thread is suspended on
+// the page's waiter queue and a page request goes out through Packet; meanwhile the runtime runs
+// other server threads, which is how DF overlaps communication with computation.
 // Message handlers (page requests, replies, invalidations) run asynchronously — the SIGIO analog —
 // and never block.
 //
@@ -41,6 +41,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/intrusive_list.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
@@ -145,13 +146,19 @@ class DsmNode {
 
   // --- Access paths (server-thread context) ---
 
-  // Fast path: returns a pointer to the bytes when every page in [addr, addr+len) is present with
-  // `mode` access; otherwise nullptr.
-  std::byte* TryAccess(GlobalAddr addr, size_t len, AccessMode mode);
-
-  // Blocking path: faults pages in as needed; returns a valid pointer. Must be called from a
-  // server thread.
-  std::byte* Access(GlobalAddr addr, size_t len, AccessMode mode);
+  // Blocking access: faults pages in as needed; returns a valid pointer. Must be called from a
+  // server thread. A range inside one page that is present with `mode` access (the resident hit)
+  // is decided inline; multi-page ranges and faults take AccessSlow.
+  std::byte* Access(GlobalAddr addr, size_t len, AccessMode mode) {
+    DFIL_DCHECK(len > 0 && addr + len <= replica_.size());
+    const PageId page = layout_->PageOf(addr);
+    PageEntry& e = table_[page];
+    if (page == layout_->PageOf(addr + len - 1) && PagePresent(e, mode)) {
+      NotePageUsed(e);
+      return replica_.data() + addr;
+    }
+    return AccessSlow(addr, len, mode);
+  }
 
   // Typed convenience accessors.
   template <typename T>
@@ -220,6 +227,8 @@ class DsmNode {
   void AttachOracle(CoherenceOracle* oracle);
 
   const PageEntry& page(PageId p) const { return table_[p]; }
+  // Access() calls that missed the inline hit (a deterministic host-work proxy; exported nowhere).
+  uint64_t slow_accesses() const { return slow_accesses_; }
   // Demand faults taken per page on this node (prefetches excluded) — the report's "hottest
   // pages" table.
   const std::vector<uint32_t>& fault_heat() const { return fault_heat_; }
@@ -238,6 +247,10 @@ class DsmNode {
   friend class WriteInvalidateProtocol;
   friend class ImplicitInvalidateProtocol;
   friend class DiffProtocol;
+  // Access() past the resident hit: checks every page of the range and faults the first missing
+  // one in, until all are present.
+  std::byte* AccessSlow(GlobalAddr addr, size_t len, AccessMode mode);
+
   // Initiates (or joins) a fetch of `page` with `mode` and suspends the current thread.
   void FaultAndWait(PageId page, AccessMode mode);
 
@@ -398,6 +411,7 @@ class DsmNode {
   std::vector<PageEntry> table_;
   std::vector<uint32_t> fault_heat_;
   int pending_fetches_ = 0;
+  uint64_t slow_accesses_ = 0;
   DsmStats stats_;
   CoherenceOracle* oracle_ = nullptr;
 

@@ -152,23 +152,40 @@ EventHandle Machine::ScheduleTimer(NodeId node, SimTime at, std::function<void()
 RunResult Machine::Run(SimTime max_virtual_time) {
   RunResult result;
   for (;;) {
-    // Pick the runnable node with the smallest clock (ties by id, for determinism).
+    // Pick the runnable node with the smallest clock (ties by id, for determinism). The same scan
+    // yields its causal horizon: the smallest clock among the other runnable hosts is the
+    // second-smallest runnable clock (equal to next's on a tie).
     NodeHost* next = nullptr;
+    SimTime next_clock = kSimTimeNever;
+    SimTime min_other = kSimTimeNever;
     for (NodeHost* host : hosts_) {
-      if (host->Runnable() && (next == nullptr || host->Clock() < next->Clock())) {
+      if (!host->Runnable()) {
+        continue;
+      }
+      const SimTime clock = host->Clock();
+      if (next == nullptr || clock < next_clock) {
+        min_other = next_clock;
+        next_clock = clock;
         next = host;
+      } else if (clock < min_other) {
+        min_other = clock;
       }
     }
     SimTime event_time = events_.NextTime();
 
     // Strict inequality: an event due at exactly the node's clock dispatches first — otherwise a
     // node that yielded for that event would be resumed only to yield again, forever.
-    if (next != nullptr && next->Clock() < event_time) {
-      if (next->Clock() > max_virtual_time) {
+    if (next != nullptr && next_clock < event_time) {
+      if (next_clock > max_virtual_time) {
         result.deadlock_report = "virtual time limit exceeded";
         break;
       }
+      stepping_ = next->id();
+      step_horizon_ = HorizonAfter(min_other);
+      ++horizon_scans_;
+      ++node_steps_;
       next->Step();
+      stepping_ = kNoNode;
       continue;
     }
     if (event_time != kSimTimeNever) {

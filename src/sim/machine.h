@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
@@ -160,21 +161,43 @@ class Machine {
         min_other = host->Clock();
       }
     }
-    return min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
+    return HorizonAfter(min_other);
   }
 
-  // The limit a node running on behalf of `self` may charge up to before yielding.
-  SimTime ChargeLimit(NodeId self) const {
+  // The limit a node running on behalf of `self` may charge up to before yielding. The horizon
+  // of the node being stepped is computed once per step by Run: while its fiber runs no other
+  // host's clock or runnable state can change (only event dispatch and other hosts' steps change
+  // them, both in Run), and every yield returns to Run, which recomputes it on resume. Any other
+  // caller gets a fresh scan. The event head is re-read on every call: the node's own sends can
+  // move it earlier.
+  SimTime ChargeLimit(NodeId self) {
+    SimTime hz;
+    if (self == stepping_) {
+      hz = step_horizon_;
+      DFIL_DCHECK(hz == CausalHorizon(self));
+    } else {
+      ++horizon_scans_;
+      hz = CausalHorizon(self);
+    }
     const SimTime ev = NextExternalTime();
-    const SimTime hz = CausalHorizon(self);
     return ev < hz ? ev : hz;
   }
+
+  // Deterministic host-work proxies (read by tests, exported nowhere): causal horizons computed
+  // by scanning the hosts (one per step, plus one per ChargeLimit call outside a step), and the
+  // number of node steps.
+  uint64_t horizon_scans() const { return horizon_scans_; }
+  uint64_t node_steps() const { return node_steps_; }
 
   // Runs until every host is Done, or no progress is possible (deadlock), or `max_virtual_time`
   // is exceeded (a runaway guard; kSimTimeNever disables it).
   RunResult Run(SimTime max_virtual_time = kSimTimeNever);
 
  private:
+  // The causal horizon given the smallest clock among the other runnable hosts.
+  SimTime HorizonAfter(SimTime min_other) const {
+    return min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
+  }
   // Applies the fault plan (drop/duplicate/delay/stall) to one planned delivery.
   void InjectAndDeliver(Datagram d, SimTime at);
   void Deliver(NodeId dst, Datagram d, SimTime at);
@@ -193,6 +216,11 @@ class Machine {
   MessageStats net_stats_;
   SimTime lookahead_ = Microseconds(200.0);
   uint64_t events_dispatched_ = 0;
+  // The host Run is stepping (kNoNode between steps) and its causal horizon.
+  NodeId stepping_ = kNoNode;
+  SimTime step_horizon_ = kSimTimeNever;
+  uint64_t horizon_scans_ = 0;
+  uint64_t node_steps_ = 0;
   std::array<InjectionNote, kInjectionLogCapacity> injection_log_{};
   uint64_t injections_seen_ = 0;
 };

@@ -88,6 +88,37 @@ TEST(JacobiOddNodes, NonAlignedStripsStillCorrect) {
   ExpectSameVector(seq.output, df.output);
 }
 
+// Deterministic host-work proxies of the two hot paths. The machine scans the hosts for a node's
+// causal horizon once per node step, not once per Charge; a DSM access leaves the inline resident
+// hit only to fault or to cover a range that spans pages.
+TEST(HostWorkTest, JacobiScansTheHorizonOncePerStepAndHitsResidentPagesInline) {
+  JacobiParams p;
+  p.n = 384;  // 3 KB rows: of every four rows of a page-aligned grid, two straddle a page boundary
+  p.iterations = 4;
+  core::ClusterConfig cfg = BaseConfig(8);
+  cfg.dsm.pcp = dsm::Pcp::kImplicitInvalidate;
+  const AppRun df = RunJacobiDf(p, cfg);
+  ASSERT_TRUE(df.report.completed) << df.report.deadlock_report;
+  EXPECT_EQ(df.report.horizon_scans, df.report.node_steps);
+
+  // Whole-row accesses that span two pages: each node writes its rows of both grids once (the
+  // fill) and reads its rows of the final grid once (the extraction). Strips of 48 rows are
+  // page-aligned and owned where they are written, so none of these faults; every other slow
+  // entry is exactly one read or write fault.
+  const size_t row_bytes = static_cast<size_t>(p.n) * sizeof(double);
+  const size_t page_bytes = size_t{1} << cfg.page_shift;
+  uint64_t spanning_rows = 0;
+  for (size_t i = 0; i < static_cast<size_t>(p.n); ++i) {
+    if (i * row_bytes / page_bytes != (i * row_bytes + row_bytes - 1) / page_bytes) {
+      spanning_rows++;
+    }
+  }
+  ASSERT_EQ(spanning_rows, static_cast<uint64_t>(p.n / 2));
+  const DsmStats dsm = df.report.TotalDsm();
+  EXPECT_GT(dsm.read_faults, 0u);
+  EXPECT_EQ(df.report.dsm_slow_accesses, dsm.read_faults + dsm.write_faults + 3 * spanning_rows);
+}
+
 class QuadNodes : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuadNodes, AllVariantsAgree) {

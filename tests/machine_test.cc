@@ -95,12 +95,101 @@ TEST(MachineTest, CausalityHorizonStopsRunahead) {
   // neither can race ahead while its peer is runnable.
   rig.a->AddStep(Milliseconds(10.0));
   rig.b->AddStep(Milliseconds(10.0));
+  // Outside Run no node is being stepped, so ChargeLimit scans the hosts afresh.
   const SimTime limit0 = rig.machine->ChargeLimit(0);
   EXPECT_LT(limit0, Milliseconds(1.0));  // other node is at 0; lookahead is small
+  EXPECT_EQ(rig.machine->horizon_scans(), 1u);
   RunResult r = rig.machine->Run();
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(rig.a->Clock(), Milliseconds(10.0));
   EXPECT_EQ(rig.b->Clock(), Milliseconds(10.0));
+}
+
+// A host that works off units of compute, split at the machine's charge limit, and sends a
+// datagram to the next host as it starts each unit; a received datagram adds a unit while the
+// relay budget lasts, so idle hosts become runnable through event dispatch (at the clock of the
+// host that yielded for it, which is then stepped again on the id tie-break). Every step checks
+// the limit it gets against a fresh horizon scan.
+class RelayHost : public NodeHost {
+ public:
+  RelayHost(NodeId id, Machine* machine, SimTime unit, int units, int relays)
+      : id_(id), machine_(machine), unit_(unit), units_(units), relays_(relays) {}
+
+  NodeId id() const override { return id_; }
+  SimTime Clock() const override { return clock_; }
+  bool Runnable() const override { return units_ > 0; }
+  bool Done() const override { return units_ == 0; }
+  void Step() override {
+    if (done_ == 0) {
+      Datagram d;
+      d.src = id_;
+      d.dst = (id_ + 1) % machine_->num_nodes();
+      machine_->Send(std::move(d), clock_);
+    }
+    const uint64_t scans = machine_->horizon_scans();
+    const SimTime limit = machine_->ChargeLimit(id_);
+    const SimTime fresh = machine_->CausalHorizon(id_);
+    const SimTime ev = machine_->NextExternalTime();
+    EXPECT_EQ(limit, ev < fresh ? ev : fresh) << "node " << id_ << " @" << clock_;
+    EXPECT_EQ(machine_->horizon_scans(), scans) << "a step's ChargeLimit must not rescan";
+    checks++;
+    if (fresh < ev && fresh != kSimTimeNever) {
+      horizon_bound++;
+    }
+    const SimTime left = unit_ - done_;
+    if (limit != kSimTimeNever && clock_ + left > limit) {
+      const SimTime part = limit > clock_ ? limit - clock_ : 0;
+      clock_ += part;
+      done_ += part;
+      return;
+    }
+    clock_ += left;
+    done_ = 0;
+    units_--;
+  }
+  void AdvanceTo(SimTime t) override { clock_ = t > clock_ ? t : clock_; }
+  void OnDatagram(Datagram) override {
+    if (relays_ > 0) {
+      relays_--;
+      units_++;
+    }
+  }
+  std::string DescribeBlocked() const override { return "relay"; }
+
+  int checks = 0;
+  int horizon_bound = 0;  // steps whose limit was the causal horizon, not the next event
+
+ private:
+  NodeId id_;
+  Machine* machine_;
+  SimTime unit_;
+  int units_;
+  int relays_;
+  SimTime clock_ = 0;
+  SimTime done_ = 0;  // of the current unit
+};
+
+TEST(MachineTest, ChargeLimitInsideAStepMatchesAFreshScan) {
+  CostModel costs = CostModel::SunIpcEthernet();
+  Machine machine(std::make_unique<SharedEthernet>(costs), costs);
+  std::vector<std::unique_ptr<RelayHost>> hosts;
+  for (NodeId n = 0; n < 4; ++n) {
+    hosts.push_back(std::make_unique<RelayHost>(n, &machine, Milliseconds(3.0 + 0.7 * n),
+                                                /*units=*/n == 0 ? 3 : 0, /*relays=*/6));
+    machine.AddHost(hosts.back().get());
+  }
+  const RunResult r = machine.Run();
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  EXPECT_EQ(machine.horizon_scans(), machine.node_steps());
+  int checks = 0;
+  int horizon_bound = 0;
+  for (const auto& h : hosts) {
+    checks += h->checks;
+    horizon_bound += h->horizon_bound;
+  }
+  EXPECT_EQ(static_cast<uint64_t>(checks), machine.node_steps());
+  EXPECT_GT(horizon_bound, 0);
+  EXPECT_GT(r.events_dispatched, 0u);
 }
 
 TEST(MachineTest, TimersFireInOrderAndAdvanceTheHost) {

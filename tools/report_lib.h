@@ -350,7 +350,11 @@ GateResult ExplainGate(const std::string& baseline_text, const std::vector<RunSu
 // "makespan_us", "counters": {<the Figure 9 counters that are non-zero>}}; BENCH files yield
 // {"kind": "bench", "bench", <the report's scalar fields>}. Lines carry no wall-clock timestamp
 // on purpose — identical results produce identical lines, so re-running --history is idempotent
-// (exact-duplicate lines are skipped on append).
+// (exact-duplicate lines are skipped on append). Host-time A/B records of simspeed runs are
+// appended by hand, one per workload: {"kind": "host", "workload", "metric": "wall_s", "seed",
+// "seconds", "parent" (the commit measured against; the change is the commit adding the line),
+// "pairs", "parent_median", "parent_q1", "parent_q3", "change_median", "change_q1", "change_q3",
+// "change_wins", "hardware"}. Nothing here reads them back.
 std::string HistoryLine(const RunSummary& run);
 bool BenchHistoryLine(const std::string& bench_json_text, std::string* line, std::string* error);
 // Appends each line not already present verbatim in `path` (file created when absent);
