@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
   jr.Write();
 
-  // Figure 9 companion: fixed-size 8-node runs, one per PCP, exported as dfil-metrics-v1 JSON
+  // Figure 9 companion: fixed-size 8-node runs, one per PCP, exported as dfil-metrics-v2 JSON
   // for `dfil_report figure9/report` and the CI counter-regression gate. Iteration counts are
   // fixed — NOT scaled by --quick — so the checked-in gate baseline holds in both modes;
   // migratory gets fewer iterations because every read-shared edge page ping-pongs.

@@ -242,9 +242,9 @@ inline void EmitSpeedupRows(JsonReport* jr, const std::vector<SpeedupRow>& rows)
 // for, so a default and an explicit `--nodes=8` are distinguishable.
 inline std::map<std::string, std::string> ProvenanceOf(const BenchArgs& args) {
   std::map<std::string, std::string> p;
-  p["cli.quick"] = args.quick ? "1" : "0";
-  p["cli.coalesce"] = args.coalesce ? "1" : "0";
-  p["cli.balance"] = args.balance ? "1" : "0";
+  p["cli.quick"] = std::to_string(args.quick ? 1 : 0);
+  p["cli.coalesce"] = std::to_string(args.coalesce ? 1 : 0);
+  p["cli.balance"] = std::to_string(args.balance ? 1 : 0);
   if (args.nodes > 0) {
     p["cli.nodes"] = std::to_string(args.nodes);
   }
@@ -265,8 +265,8 @@ inline std::map<std::string, std::string> ProvenanceOf(const BenchArgs& args) {
 // TRACE_<label>.json (Chrome trace-event JSON for Perfetto / chrome://tracing).
 //
 // `app` is the program identity stamped into the run fingerprint ("false_sharing", or
-// apps::AppIdentity's "jacobi n=256 iterations=60 pools=3", ...) so dfil_diff can tell A/B runs
-// of the same program apart from unrelated runs even when labels differ (jacobi_wi8 and
+// apps::AppIdentity's "jacobi n=256 iterations=60 pools=3", ...) so `dfil_report diff` can tell
+// A/B runs of the same program apart from unrelated runs even when labels differ (jacobi_wi8 and
 // jacobi_ii8 share an app). Empty = fall back to the label.
 inline void EmitMetrics(const core::RunReport& report, const std::string& label,
                         const BenchArgs* args = nullptr, const std::string& app = "") {

@@ -25,7 +25,7 @@ struct JacobiParams {
 };
 
 // The program identity benches stamp into the run fingerprint: the problem parameters, so
-// dfil_diff refuses to compare runs of different sizes, iteration counts or pool layouts.
+// `dfil_report diff` refuses to compare runs of different sizes, iteration counts or pool layouts.
 std::string AppIdentity(const JacobiParams& p);
 
 AppRun RunJacobiSeq(const JacobiParams& p, const core::ClusterConfig& base);

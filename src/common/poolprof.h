@@ -4,7 +4,7 @@
 // pool its own slot, so each pool's run time is a ledger view, and sum(pool run) + other run ==
 // run holds by construction. This profiler keeps what the ledger does not — per-pool event
 // counters — and tags each pool with a deterministic filament-function id so pools doing the same
-// work can be rolled up across nodes and compared across runs (dfil_diff).
+// work can be rolled up across nodes and compared across runs (`dfil_report diff`).
 //
 // Attribution contract (DESIGN.md §14):
 //   * run     — thread-context Charge time while the current server thread executes a pool (the
@@ -43,8 +43,8 @@ class PoolProfiler {
 
   // Deterministic id for a filament function: assigned in order of first registration on this
   // node. Raw function pointers are ASLR-unstable across processes, so ids — not addresses — are
-  // what the metrics export and dfil_diff key the cross-run rollup on. SPMD programs register
-  // functions in the same order on every node, so ids agree cluster-wide.
+  // what the metrics export and `dfil_report diff` key the cross-run rollup on. SPMD programs
+  // register functions in the same order on every node, so ids agree cluster-wide.
   int FnIdOf(const void* fn) {
     const auto [it, inserted] = fn_ids_.try_emplace(fn, next_fn_id_);
     if (inserted) {

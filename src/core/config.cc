@@ -9,7 +9,7 @@ namespace {
 // Canonical serialization sink for ClusterConfig::Digest(): appends "key=value;" pairs and
 // FNV-1a-hashes the resulting byte stream. Field ORDER and NAMES are part of the digest contract:
 // every field is always serialized, so adding, removing or renaming one rolls every digest once,
-// and dfil_diff reports that as a config difference.
+// and `dfil_report diff` reports that as a config difference.
 class DigestWriter {
  public:
   void Field(const char* key, uint64_t v) { Append(key, std::to_string(v)); }

@@ -114,8 +114,8 @@ struct ClusterConfig {
   // config difference. trace_enabled and the two inert recorder fields are deliberately
   // EXCLUDED — they never perturb the schedule, so runs stay provably comparable across
   // instrumentation settings. Stamped into every metrics export as the "fingerprint.config"
-  // field; dfil_diff refuses to diff runs whose digests conceal a config change the user did
-  // not expect.
+  // field; `dfil_report diff` refuses to diff runs whose digests conceal a config change the
+  // user did not expect.
   uint64_t Digest() const;
   // Digest() as 16 lowercase hex digits (the JSON/provenance form).
   std::string DigestHex() const;

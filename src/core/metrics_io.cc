@@ -115,21 +115,31 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
   for (const auto& [key, value] : extra_provenance) {
     provenance[key] = value;
   }
-  os << "{\n  \"schema\": \"dfil-metrics-v2\",\n  \"label\": \"" << label << "\",\n  \"pcp\": \""
-     << report.pcp << "\",\n  \"nodes\": " << report.num_nodes
+  os << "{\n  \"schema\": \"dfil-metrics-v2\",\n  \"label\": \"";
+  json::WriteEscaped(os, label);
+  os << "\",\n  \"pcp\": \"" << report.pcp << "\",\n  \"nodes\": " << report.num_nodes
      << ",\n  \"completed\": " << (report.completed ? 1 : 0)
      << ",\n  \"makespan_us\": " << ToMicroseconds(report.makespan)
-     // Run fingerprint: the four fields dfil_diff checks before comparing two runs. "config" is
-     // the canonical digest of every schedule-affecting ClusterConfig knob (config.cc); "app" is
-     // the program identity (bench-supplied; distinct labels like jacobi_wi8/jacobi_ii8 share it).
-     << ",\n  \"fingerprint\": {\"config\": \"" << ProvenanceOr(provenance, "config_digest", "")
-     << "\", \"git\": \"" << ProvenanceOr(provenance, "git", "unknown") << "\", \"seed\": \""
-     << ProvenanceOr(provenance, "seed", "") << "\", \"app\": \""
-     << ProvenanceOr(provenance, "app", label) << "\"}"
-     << ",\n  \"provenance\": {";
+     << ",\n  \"fingerprint\": {\"config\": \"";
+  // Run fingerprint: the four fields `dfil_report diff` checks before comparing two runs.
+  // "config" is the canonical digest of every schedule-affecting ClusterConfig knob (config.cc);
+  // "app" is the program identity (bench-supplied; distinct labels like jacobi_wi8/jacobi_ii8
+  // share it).
+  json::WriteEscaped(os, ProvenanceOr(provenance, "config_digest", ""));
+  os << "\", \"git\": \"";
+  json::WriteEscaped(os, ProvenanceOr(provenance, "git", "unknown"));
+  os << "\", \"seed\": \"";
+  json::WriteEscaped(os, ProvenanceOr(provenance, "seed", ""));
+  os << "\", \"app\": \"";
+  json::WriteEscaped(os, ProvenanceOr(provenance, "app", label));
+  os << "\"},\n  \"provenance\": {";
   bool first = true;
   for (const auto& [key, value] : provenance) {
-    os << (first ? "\n" : ",\n") << "    \"" << key << "\": \"" << value << "\"";
+    os << (first ? "\n" : ",\n") << "    \"";
+    json::WriteEscaped(os, key);
+    os << "\": \"";
+    json::WriteEscaped(os, value);
+    os << "\"";
     first = false;
   }
   os << "\n  },\n  \"cluster\": {\n"

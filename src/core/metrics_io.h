@@ -3,15 +3,14 @@
 // per-page fault heat, and the live MetricsRegistry histograms — into one JSON document that
 // tools/dfil_report (and the CI regression gate) consume.
 //
-// Schema (dfil-metrics-v2; v1 lacked provenance, wait_us/run_us/serve_us, final_clock_us and
-// epochs — readers must accept both; fingerprint/pools are optional v2 extensions readers must
-// tolerate missing):
+// Schema (dfil-metrics-v2, the only one written; readers reject any other tag and a document
+// without its fingerprint block):
 //   {
 //     "schema": "dfil-metrics-v2",
 //     "label": "<run label>",
 //     "pcp": "<protocol>", "nodes": N, "completed": 0|1, "makespan_us": ...,
 //     "fingerprint": {"config": "<16-hex ClusterConfig::DigestHex>", "git": "<sha|unknown>",
-//                     "seed": "3", "app": "jacobi"},         // comparability check (dfil_diff)
+//                     "seed": "3", "app": "jacobi"},         // comparability (dfil_report diff)
 //     "provenance": {"seed": "3", "coalesce": "on", ...},   // config knobs + bench CLI overlay
 //     "cluster": {"counters": {...},                        // cluster-wide totals
 //                 "pools_by_fn": [                          // per-filament-fn rollup (all nodes);

@@ -77,7 +77,7 @@ struct RehomeReplyHeader {
 };
 
 // Flow-arc name shared by the fault, serve and install sides ("p<page>" / "bulk p<first>").
-std::string FlowName(PageId page) { return "p" + std::to_string(page); }
+std::string FlowName(PageId page) { return std::string("p").append(std::to_string(page)); }
 std::string BulkFlowName(PageId first) { return "bulk p" + std::to_string(first); }
 
 uint64_t Bit(NodeId n) { return uint64_t{1} << n; }

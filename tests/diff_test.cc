@@ -1,5 +1,6 @@
-// dfil_diff library tests: ParseRun hardening (malformed-input corpus), fingerprint
-// comparability, run diffing, CLI-flag parsing, and the result-history round trip.
+// dfil_report library tests: ParseRun hardening (malformed-input corpus), fingerprint
+// comparability, run diffing, the result-history round trip, and the command line — flag parsing
+// and the exit-code contract of every command family, driven in-process through RunCli.
 //
 // The pinned acceptance test at the bottom re-creates the PR's motivating story: two fixed-seed
 // 8-node Jacobi runs that differ only in PCP (write-invalidate vs the multiple-writer diff
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,26 +28,30 @@ namespace {
 
 // --- ParseRun hardening ---------------------------------------------------------------------
 
-// A syntactically minimal but structurally complete v1 document (the floor ParseRun accepts).
-const char kMinimalV1[] =
-    "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1,"
-    " \"completed\": 1, \"makespan_us\": 5.0, \"per_node\": [{\"node\": 0}]}";
+// A syntactically minimal but structurally complete document (the floor ParseRun accepts).
+const char kMinimalV2[] =
+    "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1,"
+    " \"completed\": 1, \"makespan_us\": 5.0, \"fingerprint\": {\"config\": \"c\", \"git\": \"g\","
+    " \"seed\": \"1\", \"app\": \"a\"}, \"per_node\": [{\"node\": 0}]}";
 
-TEST(ParseRunHardeningTest, AcceptsMinimalV1Document) {
+TEST(ParseRunHardeningTest, AcceptsMinimalV2Document) {
   report::RunSummary run;
   std::string error;
-  ASSERT_TRUE(report::ParseRun(kMinimalV1, &run, &error)) << error;
-  EXPECT_EQ(run.schema_version, 1);
+  ASSERT_TRUE(report::ParseRun(kMinimalV2, &run, &error)) << error;
   EXPECT_EQ(run.label, "t");
   EXPECT_EQ(run.nodes, 1);
   EXPECT_TRUE(run.completed);
   ASSERT_EQ(run.per_node.size(), 1u);
-  EXPECT_TRUE(run.fingerprint.empty());
+  EXPECT_EQ(run.fingerprint.config, "c");
+  EXPECT_EQ(run.fingerprint.app, "a");
 }
 
 TEST(ParseRunHardeningTest, RejectsMalformedCorpus) {
   // Every entry must be rejected with a non-empty, field-level error — never parsed into a
   // zeroed summary a downstream gate would silently "pass".
+  const std::string head =
+      "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1,"
+      " \"completed\": 1, \"makespan_us\": 1, \"fingerprint\": {},";
   const struct {
     const char* name;
     std::string text;
@@ -54,36 +60,41 @@ TEST(ParseRunHardeningTest, RejectsMalformedCorpus) {
       {"garbage", "not json at all"},
       {"root array", "[1, 2, 3]"},
       {"root number", "42"},
-      {"unterminated object", "{\"schema\": \"dfil-metrics-v1\""},
+      {"unterminated object", "{\"schema\": \"dfil-metrics-v2\""},
       {"missing schema", "{\"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
-                         " \"makespan_us\": 1, \"per_node\": []}"},
+                         " \"makespan_us\": 1, \"fingerprint\": {}, \"per_node\": []}"},
       {"schema wrong type", "{\"schema\": 2, \"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1,"
-                            " \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
+                            " \"completed\": 1, \"makespan_us\": 1, \"fingerprint\": {},"
+                            " \"per_node\": []}"},
       {"unknown schema", "{\"schema\": \"dfil-metrics-v9\", \"label\": \"t\", \"pcp\": \"wi\","
-                         " \"nodes\": 1, \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
-      {"missing label", "{\"schema\": \"dfil-metrics-v1\", \"pcp\": \"wi\", \"nodes\": 1,"
-                        " \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
-      {"missing pcp", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"nodes\": 1,"
-                      " \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
-      {"nodes wrong type", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
+                         " \"nodes\": 1, \"completed\": 1, \"makespan_us\": 1,"
+                         " \"fingerprint\": {}, \"per_node\": []}"},
+      {"retired v1 schema", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
+                            " \"nodes\": 1, \"completed\": 1, \"makespan_us\": 5.0,"
+                            " \"per_node\": [{\"node\": 0}]}"},
+      {"missing label", "{\"schema\": \"dfil-metrics-v2\", \"pcp\": \"wi\", \"nodes\": 1,"
+                        " \"completed\": 1, \"makespan_us\": 1, \"fingerprint\": {},"
+                        " \"per_node\": []}"},
+      {"missing pcp", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"nodes\": 1,"
+                      " \"completed\": 1, \"makespan_us\": 1, \"fingerprint\": {},"
+                      " \"per_node\": []}"},
+      {"nodes wrong type", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\","
                            " \"nodes\": \"eight\", \"completed\": 1, \"makespan_us\": 1,"
+                           " \"fingerprint\": {}, \"per_node\": []}"},
+      {"missing makespan", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\","
+                           " \"nodes\": 1, \"completed\": 1, \"fingerprint\": {},"
                            " \"per_node\": []}"},
-      {"missing makespan", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
-                           " \"nodes\": 1, \"completed\": 1, \"per_node\": []}"},
-      {"missing per_node", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
-                           " \"nodes\": 1, \"completed\": 1, \"makespan_us\": 1}"},
-      {"per_node not array", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
-                             " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
-                             " \"makespan_us\": 1, \"per_node\": {}}"},
-      {"per_node entry not object", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
-                                    " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
-                                    " \"makespan_us\": 1, \"per_node\": [7]}"},
-      {"per_node entry missing node", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
-                                      " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
-                                      " \"makespan_us\": 1, \"per_node\": [{}]}"},
-      {"cluster wrong type", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
-                             " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
-                             " \"makespan_us\": 1, \"cluster\": 3, \"per_node\": []}"},
+      {"missing fingerprint", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\","
+                              " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
+                              " \"makespan_us\": 1, \"per_node\": []}"},
+      {"fingerprint wrong type", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\","
+                                 " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
+                                 " \"makespan_us\": 1, \"fingerprint\": \"x\", \"per_node\": []}"},
+      {"missing per_node", head.substr(0, head.size() - 1) + "}"},
+      {"per_node not array", head + " \"per_node\": {}}"},
+      {"per_node entry not object", head + " \"per_node\": [7]}"},
+      {"per_node entry missing node", head + " \"per_node\": [{}]}"},
+      {"cluster wrong type", head + " \"cluster\": 3, \"per_node\": []}"},
   };
   for (const auto& c : corpus) {
     report::RunSummary run;
@@ -130,27 +141,31 @@ report::CliOptions ParseArgs(std::vector<std::string> tokens, int first) {
 
 TEST(CliOptionsTest, ParsesBothFlagForms) {
   const report::CliOptions opt =
-      ParseArgs({"tool", "--top", "5", "a.json", "--force", "--gate=g.json", "b.json"}, 1);
+      ParseArgs({"tool", "--top", "5", "a.json", "--force", "--check=g.json", "b.json"}, 1);
   EXPECT_TRUE(opt.error.empty()) << opt.error;
   EXPECT_EQ(opt.top_n, 5u);
   EXPECT_TRUE(opt.force);
-  EXPECT_EQ(opt.gate_baseline, "g.json");
+  EXPECT_EQ(opt.check_baseline, "g.json");
   ASSERT_EQ(opt.paths.size(), 2u);
   EXPECT_EQ(opt.paths[0], "a.json");
   EXPECT_EQ(opt.paths[1], "b.json");
 }
 
 TEST(CliOptionsTest, FlagsArePositionIndependent) {
-  const report::CliOptions a = ParseArgs({"tool", "--history", "h.jsonl", "x.json"}, 1);
-  const report::CliOptions b = ParseArgs({"tool", "x.json", "--history=h.jsonl"}, 1);
-  EXPECT_EQ(a.history_path, b.history_path);
+  const report::CliOptions a = ParseArgs({"tool", "--check", "c.json", "x.json"}, 1);
+  const report::CliOptions b = ParseArgs({"tool", "x.json", "--check=c.json"}, 1);
+  EXPECT_EQ(a.check_baseline, "c.json");
+  EXPECT_EQ(a.check_baseline, b.check_baseline);
   EXPECT_EQ(a.paths, b.paths);
 }
 
 TEST(CliOptionsTest, RejectsUnknownFlagAndMissingValue) {
   EXPECT_EQ(ParseArgs({"tool", "--bogus"}, 1).error, "--bogus");
-  EXPECT_FALSE(ParseArgs({"tool", "--gate"}, 1).error.empty());
+  EXPECT_FALSE(ParseArgs({"tool", "--check"}, 1).error.empty());
   EXPECT_FALSE(ParseArgs({"tool", "--top"}, 1).error.empty());
+  // The gate baseline and the history file are operands of their commands, not flags.
+  EXPECT_EQ(ParseArgs({"tool", "--gate", "g.json"}, 1).error, "--gate");
+  EXPECT_EQ(ParseArgs({"tool", "--history=h.jsonl"}, 1).error, "--history=h.jsonl");
 }
 
 // --- Fingerprints and diffing ---------------------------------------------------------------
@@ -236,7 +251,7 @@ TEST(DiffRunsTest, RanksByRelativeMovementAndSkipsUnchanged) {
 TEST(HistoryTest, MetricsLineRoundTripsThroughJson) {
   report::RunSummary run;
   std::string error;
-  ASSERT_TRUE(report::ParseRun(kMinimalV1, &run, &error)) << error;
+  ASSERT_TRUE(report::ParseRun(kMinimalV2, &run, &error)) << error;
   run.fingerprint.app = "jacobi";
   run.cluster_counters["dsm.page_request_messages"] = 42;
   const std::string line = report::HistoryLine(run);
@@ -291,6 +306,203 @@ TEST(HistoryTest, AppendIsIdempotent) {
   }
   EXPECT_EQ(contents, again);
   std::remove(path.c_str());
+}
+
+TEST(HistoryTest, QuotesAndBackslashesRoundTrip) {
+  // A label carrying both JSON metacharacters survives the metrics writer, the metrics reader
+  // and the history line; a bench name does the same through its history line.
+  const std::string label = "a\"b\\c";
+  apps::JacobiParams p;
+  p.n = 64;
+  p.iterations = 1;
+  core::ClusterConfig cfg;
+  cfg.nodes = 2;
+  apps::AppRun app = apps::RunJacobiDf(p, cfg);
+  ASSERT_TRUE(app.report.completed);
+  std::ostringstream os;
+  core::WriteMetricsJson(app.report, label, os);
+  report::RunSummary run;
+  std::string error;
+  ASSERT_TRUE(report::ParseRun(os.str(), &run, &error)) << error;
+  EXPECT_EQ(run.label, label);
+  json::ParseResult line = json::Parse(report::HistoryLine(run));
+  ASSERT_TRUE(line.ok()) << line.error;
+  EXPECT_EQ(line.value->GetString("label"), label);
+
+  std::string bench_line;
+  ASSERT_TRUE(report::BenchHistoryLine("{\"bench\": \"x\\\\y\"}", &bench_line, &error)) << error;
+  json::ParseResult bench = json::Parse(bench_line);
+  ASSERT_TRUE(bench.ok()) << bench.error << " in " << bench_line;
+  EXPECT_EQ(bench.value->GetString("bench"), "x\\y");
+}
+
+// --- The command line: one dispatch, one exit-code contract ---------------------------------
+
+struct CliResult {
+  int rc = -1;
+  std::string out;
+  std::string err;
+};
+
+CliResult RunCli(std::vector<std::string> args) {
+  args.insert(args.begin(), "dfil_report");
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  std::ostringstream out;
+  std::ostringstream err;
+  CliResult r;
+  r.rc = report::RunCli(static_cast<int>(argv.size()), argv.data(), out, err);
+  r.out = out.str();
+  r.err = err.str();
+  return r;
+}
+
+std::string WriteTemp(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/dfil_cli_" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+// A one-node run whose page requests all land on page 3.
+std::string MetricsDoc(const std::string& label, const std::string& app, int requests) {
+  const std::string counters = "{\"dsm.page_request_messages\": " + std::to_string(requests) + "}";
+  return "{\"schema\": \"dfil-metrics-v2\", \"label\": \"" + label +
+         "\", \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1, \"makespan_us\": 5.0,"
+         " \"fingerprint\": {\"config\": \"c\", \"git\": \"g\", \"seed\": \"1\", \"app\": \"" +
+         app + "\"}, \"cluster\": {\"counters\": " + counters +
+         "}, \"per_node\": [{\"node\": 0, \"metrics\": {\"counters\": " + counters +
+         "}, \"page_heat\": [[3, " + std::to_string(requests) + "]]}]}";
+}
+
+std::string GateDoc(int expected) {
+  return "{\"schema\": \"dfil-gate-v1\", \"tolerance\": 0.10, \"runs\": {\"a\": "
+         "{\"dsm.page_request_messages\": " +
+         std::to_string(expected) + "}}}";
+}
+
+TEST(ReportCliTest, GatePassesWithoutAttribution) {
+  const std::string run = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  const CliResult r = RunCli({"gate", WriteTemp("pass_gate.json", GateDoc(105)), run});
+  EXPECT_EQ(r.rc, report::kExitOk) << r.err;
+  EXPECT_NE(r.out.find("ok   a dsm.page_request_messages: expected 105, got 100"),
+            std::string::npos)
+      << r.out;
+  EXPECT_EQ(r.out.find("Where the drift lives"), std::string::npos);
+  EXPECT_NE(r.out.find("gate: PASS\n"), std::string::npos);
+}
+
+TEST(ReportCliTest, FailingGateExitsOneAndLocatesTheDrift) {
+  const std::string run = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  const CliResult r = RunCli({"gate", WriteTemp("fail_gate.json", GateDoc(200)), run});
+  EXPECT_EQ(r.rc, report::kExitCheckFailed) << r.err;
+  const size_t drift = r.out.find("\nWhere the drift lives:\n");
+  ASSERT_NE(drift, std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("per-node: n0=100", drift), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("hottest pages: p3=100", drift), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("gate: FAIL\n"), std::string::npos);
+}
+
+TEST(ReportCliTest, UnreadableGateBaselineExitsThree) {
+  const std::string run = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  // A run entry that is not an object of counters would otherwise pass with nothing compared.
+  for (const char* baseline : {"{\"schema\": \"dfil-gate-v1\", \"runs\": {\"a\": 100}}",
+                               "{\"schema\": \"dfil-gate-v2\", \"runs\": {}}"}) {
+    const CliResult r = RunCli({"gate", WriteTemp("bad_gate.json", baseline), run});
+    EXPECT_EQ(r.rc, report::kExitIo) << baseline << "\n" << r.out;
+    EXPECT_EQ(r.out.find("gate: PASS"), std::string::npos) << baseline;
+  }
+}
+
+TEST(ReportCliTest, DiffRefusesMismatchedAppsUnlessForced) {
+  const std::string a = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  const std::string b = WriteTemp("b.json", MetricsDoc("b", "fft", 150));
+  const CliResult refused = RunCli({"diff", a, b});
+  EXPECT_EQ(refused.rc, report::kExitCheckFailed);
+  EXPECT_NE(refused.out.find("INCOMPATIBLE"), std::string::npos) << refused.out;
+  EXPECT_NE(refused.err.find("--force"), std::string::npos) << refused.err;
+  const CliResult forced = RunCli({"diff", "--force", a, b});
+  EXPECT_EQ(forced.rc, report::kExitOk) << forced.err;
+  EXPECT_NE(forced.out.find("dsm.page_request_messages"), std::string::npos) << forced.out;
+}
+
+TEST(ReportCliTest, HistorySkipsDuplicateLines) {
+  const std::string a = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  const std::string bench = WriteTemp("bench.json", "{\"bench\": \"x\", \"nodes\": 8}");
+  const std::string history = ::testing::TempDir() + "/dfil_cli_history.jsonl";
+  std::remove(history.c_str());
+  const CliResult first = RunCli({"history", history, a, bench, a});
+  EXPECT_EQ(first.rc, report::kExitOk) << first.err;
+  EXPECT_NE(first.out.find("appended 2 line(s)"), std::string::npos) << first.out;
+  EXPECT_NE(first.out.find("(1 duplicate(s) skipped)"), std::string::npos) << first.out;
+  const CliResult again = RunCli({"history", history, bench, a});
+  EXPECT_EQ(again.rc, report::kExitOk) << again.err;
+  EXPECT_NE(again.out.find("appended 0 line(s)"), std::string::npos) << again.out;
+  std::ifstream in(history);
+  size_t lines = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 2u);
+  std::remove(history.c_str());
+
+  // A metrics file where the history file belongs (`history METRICS_*.json`) is refused as it is.
+  const std::string before = MetricsDoc("a", "jacobi", 100);
+  EXPECT_EQ(RunCli({"history", a, bench}).rc, report::kExitIo);
+  std::ifstream target(a);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(target), {}), before);
+}
+
+TEST(ReportCliTest, UnparseableTraceExitsThreeFromEveryTraceCommand) {
+  const std::string garbage = WriteTemp("garbage_trace.json", "[{\"ph\": \"B\",");
+  const std::string no_events = WriteTemp("no_events_trace.json", "{\"events\": []}");
+  for (const std::string& bad : {garbage, no_events}) {
+    for (const char* cmd : {"check-trace", "paths", "critpath", "blame"}) {
+      EXPECT_EQ(RunCli({cmd, bad}).rc, report::kExitIo) << cmd << " " << bad;
+    }
+    const std::string a = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+    EXPECT_EQ(RunCli({"diff", a, a, bad, bad}).rc, report::kExitIo) << bad;
+  }
+  // A trace that parses but is structurally broken is a failed check, not an unreadable input.
+  const std::string unbalanced = WriteTemp("unbalanced_trace.json", "[{\"ph\": \"E\"}]");
+  const CliResult r = RunCli({"check-trace", unbalanced});
+  EXPECT_EQ(r.rc, report::kExitCheckFailed) << r.err;
+  EXPECT_NE(r.out.find("MALFORMED"), std::string::npos) << r.out;
+}
+
+TEST(ReportCliTest, UsageErrorsExitTwo) {
+  const std::string a = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  EXPECT_EQ(RunCli({}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"frobnicate", a}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"report", "--bogus", a}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"report", a, "--top"}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"--gate", a, a}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"report"}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"gate", a}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"diff", a}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"diff", a, a, a}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"history", a}).rc, report::kExitUsage);
+  EXPECT_EQ(RunCli({"help"}).rc, report::kExitOk);
+}
+
+TEST(ReportCliTest, MissingFileExitsThree) {
+  const std::string a = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  const std::string missing = ::testing::TempDir() + "/dfil_cli_does_not_exist.json";
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {"report", missing},
+           {"check-trace", missing},
+           {"critpath", "--check", missing, missing},
+           {"flight", missing},
+           {"gate", missing, a},
+           {"gate", WriteTemp("pass_gate.json", GateDoc(100)), missing},
+           {"diff", a, missing},
+           {"history", ::testing::TempDir() + "/dfil_cli_unused.jsonl", missing},
+       }) {
+    const CliResult r = RunCli(args);
+    EXPECT_EQ(r.rc, report::kExitIo) << args[0];
+    EXPECT_NE(r.err.find("cannot open"), std::string::npos) << args[0] << ": " << r.err;
+  }
 }
 
 // --- Pinned acceptance: the false-sharing story from counters alone -------------------------

@@ -1,5 +1,5 @@
 // Tests for the observability stack: metrics registry + histograms, the JSON parser, the
-// hardened trace recorder, causal flow arcs across a real cluster run, the dfil-metrics-v1
+// hardened trace recorder, causal flow arcs across a real cluster run, the dfil-metrics-v2
 // export/report pipeline, and the CI counter-regression gate.
 #include <gtest/gtest.h>
 
@@ -20,6 +20,14 @@
 
 namespace dfil {
 namespace {
+
+// The flat event list the trace analyses read; text that is not a trace fails the test.
+std::vector<report::TraceEvent> Events(const std::string& text) {
+  std::vector<report::TraceEvent> events;
+  std::string error;
+  EXPECT_TRUE(report::ParseTrace(text, &events, &error)) << error;
+  return events;
+}
 
 // --- Histogram / MetricsRegistry ---
 
@@ -131,7 +139,7 @@ TEST(TraceRecorderTest, UnmatchedEndIsDroppedNotFatal) {
   EXPECT_EQ(rec.open_spans(), 0u);
   std::ostringstream os;
   rec.WriteChromeTrace(os);
-  EXPECT_TRUE(dfil::report::CheckChromeTrace(os.str()).ok);
+  EXPECT_TRUE(report::CheckChromeTrace(Events(os.str())).ok);
 }
 
 TEST(TraceRecorderTest, DanglingSpansAreClosedOnExport) {
@@ -141,7 +149,7 @@ TEST(TraceRecorderTest, DanglingSpansAreClosedOnExport) {
   EXPECT_EQ(rec.open_spans(), 2u);
   std::ostringstream os;
   rec.WriteChromeTrace(os);
-  report::TraceCheck check = report::CheckChromeTrace(os.str());
+  report::TraceCheck check = report::CheckChromeTrace(Events(os.str()));
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors.front());
   EXPECT_EQ(check.spans, 2u);
 }
@@ -172,10 +180,10 @@ TEST(TraceRecorderTest, FlowEventsCarryIdAndBinding) {
   std::ostringstream os;
   rec.WriteChromeTrace(os);
   EXPECT_NE(os.str().find("\"id\":42,\"bp\":\"e\""), std::string::npos);
-  report::TraceCheck check = report::CheckChromeTrace(os.str());
+  report::TraceCheck check = report::CheckChromeTrace(Events(os.str()));
   EXPECT_TRUE(check.ok);
   EXPECT_EQ(check.complete_flows, 1u);
-  std::vector<report::FlowArc> arcs = report::ExtractFlows(os.str());
+  std::vector<report::FlowArc> arcs = report::ExtractFlows(Events(os.str()));
   ASSERT_EQ(arcs.size(), 1u);
   EXPECT_EQ(arcs[0].id, 42u);
   EXPECT_EQ(arcs[0].steps, 1u);
@@ -185,19 +193,19 @@ TEST(TraceRecorderTest, FlowEventsCarryIdAndBinding) {
 
 TEST(TraceCheckTest, CatchesStructuralViolations) {
   // Backwards timestamp on one track.
-  EXPECT_FALSE(report::CheckChromeTrace(
+  EXPECT_FALSE(report::CheckChromeTrace(Events(
                    R"([{"ph":"B","pid":0,"tid":1,"ts":5,"cat":"t","name":"a"},
-                       {"ph":"E","pid":0,"tid":1,"ts":3}])")
+                       {"ph":"E","pid":0,"tid":1,"ts":3}])"))
                    .ok);
   // Flow start that never finishes.
-  EXPECT_FALSE(report::CheckChromeTrace(
-                   R"([{"ph":"s","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])")
+  EXPECT_FALSE(report::CheckChromeTrace(Events(
+                   R"([{"ph":"s","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])"))
                    .ok);
   // Unbalanced E.
-  EXPECT_FALSE(report::CheckChromeTrace(R"([{"ph":"E","pid":0,"tid":1,"ts":1}])").ok);
+  EXPECT_FALSE(report::CheckChromeTrace(Events(R"([{"ph":"E","pid":0,"tid":1,"ts":1}])")).ok);
   // An 'f' without an 's' is tolerated.
-  EXPECT_TRUE(report::CheckChromeTrace(
-                  R"([{"ph":"f","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])")
+  EXPECT_TRUE(report::CheckChromeTrace(Events(
+                  R"([{"ph":"f","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])"))
                   .ok);
 }
 
@@ -227,14 +235,14 @@ TEST(ObservabilityIntegrationTest, JacobiTraceIsValidWithConnectedFlows) {
   r.trace->WriteChromeTrace(os);
   const std::string trace = os.str();
 
-  report::TraceCheck check = report::CheckChromeTrace(trace);
+  report::TraceCheck check = report::CheckChromeTrace(Events(trace));
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors.front());
   EXPECT_GT(check.spans, 0u);
   ASSERT_GT(check.complete_flows, 0u);  // >= 1 remote page fault rendered as a connected arc
 
   // The arc is genuinely causal: fault 's' on the faulting node, >= 1 serve 't' hop, 'f' at the
   // install back on the faulting node.
-  std::vector<report::FlowArc> arcs = report::ExtractFlows(trace);
+  std::vector<report::FlowArc> arcs = report::ExtractFlows(Events(trace));
   ASSERT_FALSE(arcs.empty());
   bool found_remote = false;
   for (const report::FlowArc& arc : arcs) {
@@ -306,7 +314,7 @@ TEST(ObservabilityIntegrationTest, FuzzReplayTraceIsValid) {
   ASSERT_NE(r.trace, nullptr);
   std::ostringstream os;
   r.trace->WriteChromeTrace(os);
-  report::TraceCheck check = report::CheckChromeTrace(os.str());
+  report::TraceCheck check = report::CheckChromeTrace(Events(os.str()));
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors.front());
   // The adversary's decisions are visible on the dedicated injection track.
   EXPECT_NE(os.str().find("\"cat\":\"inject\""), std::string::npos);
@@ -324,8 +332,7 @@ TEST(ObservabilityIntegrationTest, TraceCaptureDoesNotChangeTheSchedule) {
 
 // dfil-metrics-v2 per-node counter names. Every node exports these 67 whatever its traffic: the
 // DSM, Packet and Filaments counter tables plus dsm.page_request_messages. Renaming or dropping
-// a table entry changes the schema that dfil_report, dfil_diff and the CI gates read, so it must
-// fail here.
+// a table entry changes the schema that dfil_report and the CI gates read, so it must fail here.
 constexpr const char* kNodeCounterNames[] = {
     "dsm.adapter_switches_to_diff", "dsm.adapter_switches_to_ii", "dsm.bulk_misses",
     "dsm.bulk_pages_requested", "dsm.bulk_pages_served", "dsm.bulk_requests",

@@ -1,301 +1,10 @@
-// dfil_report: analysis CLI over the runtime's observability artifacts.
-//
-// Inputs come in three shapes: METRICS_*.json (dfil-metrics-v1/-v2, src/core/metrics_io.h),
-// Chrome trace-event JSON (TRACE_*.json, load in Perfetto / chrome://tracing), and
-// FLIGHT_*.json flight-recorder dumps (dfil-flight-v1, written on fuzz/oracle failures).
-// Usage() below is the authoritative subcommand list; flags may appear anywhere on the command
-// line (they are parsed order-insensitively).
-//
-// Exit codes (the shared contract in tools/report_lib.h, common to dfil_report and dfil_diff):
-//   0  success
-//   1  a gate or check failed (counter drift, malformed trace, broken critical path)
-//   2  usage error (unknown command, missing operands, bad flag)
-//   3  an input could not be read or parsed
-#include <cstdio>
-#include <cstring>
+// dfil_report: analysis CLI over the runtime's observability artifacts — METRICS_*.json
+// (dfil-metrics-v2, src/core/metrics_io.h), Chrome trace-event JSON (TRACE_*.json, load in
+// Perfetto / chrome://tracing) and FLIGHT_*.json flight-recorder dumps (dfil-flight-v1). It
+// prints the paper's tables, diffs two runs, appends result history and runs the CI gates.
+// `dfil_report help` lists the commands; the exit codes are the contract in tools/report_lib.h.
 #include <iostream>
-#include <string>
-#include <vector>
 
 #include "tools/report_lib.h"
 
-namespace {
-
-using dfil::report::BuildCriticalPath;
-using dfil::report::CheckChromeTrace;
-using dfil::report::CheckCritpathGate;
-using dfil::report::CheckGate;
-using dfil::report::CliOptions;
-using dfil::report::CriticalPath;
-using dfil::report::ExtractFlows;
-using dfil::report::FlightDump;
-using dfil::report::GateResult;
-using dfil::report::kExitCheckFailed;
-using dfil::report::kExitIo;
-using dfil::report::kExitOk;
-using dfil::report::kExitUsage;
-using dfil::report::LoadRun;
-using dfil::report::ParseCliOptions;
-using dfil::report::ParseFlight;
-using dfil::report::RunSummary;
-using dfil::report::TraceCheck;
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: dfil_report <command> [flags] <files...>\n"
-      "\n"
-      "metrics commands (METRICS_*.json, dfil-metrics-v1/-v2):\n"
-      "  report      METRICS_*.json        Figure 10 + fault latency + hottest pages per run,\n"
-      "                                    Figure 9 across runs\n"
-      "  figure10    METRICS_*.json        per-node time breakdown only\n"
-      "  figure9     METRICS_*.json        message counts per protocol only\n"
-      "  hot         METRICS_*.json        hottest pages only\n"
-      "\n"
-      "trace commands (Chrome trace-event JSON):\n"
-      "  check-trace TRACE.json...         structural validity (span nesting, flow arcs)\n"
-      "  paths       TRACE.json...         longest single-fault flow arcs\n"
-      "  critpath    TRACE.json...         end-to-end critical path: per-hop compute /\n"
-      "                                    page-fault / barrier blame and the what-if bound\n"
-      "  blame       TRACE.json...         critical-path residency ranked by cause\n"
-      "                                    (page / barrier epoch / node compute)\n"
-      "\n"
-      "failure forensics (FLIGHT_*.json, dfil-flight-v1):\n"
-      "  flight      FLIGHT.json...        render a flight-recorder dump: oracle violations,\n"
-      "                                    last wait events per node, recent fault injections\n"
-      "\n"
-      "CI gates:\n"
-      "  gate     BASELINE.json METRICS_*.json   counter-regression gate (dfil-gate-v1)\n"
-      "  critpath --check BASELINE.json TRACE.json\n"
-      "                                    gate the path's wait-category shares\n"
-      "                                    (dfil-critpath-gate-v1)\n"
-      "\n"
-      "flags (position-independent):\n"
-      "  --top N          rows/hops to print (default 10)\n"
-      "  --check FILE     critpath only: gate against a dfil-critpath-gate-v1 baseline\n"
-      "\n"
-      "exit codes (shared contract with dfil_diff — scripts may rely on it):\n"
-      "  0 ok, 1 gate/check failure, 2 usage error, 3 unreadable/unparseable input\n"
-      "\n"
-      "see also: dfil_diff — A/B attribution between two runs, gate-failure explanation\n"
-      "(--gate), and result history (--history); same exit codes\n");
-  return kExitUsage;
-}
-
-// Loads every metrics file, or reports the first unreadable one. Returns kExitOk or kExitIo.
-int LoadRuns(const std::vector<std::string>& paths, std::vector<RunSummary>* runs) {
-  for (const std::string& path : paths) {
-    RunSummary run;
-    std::string error;
-    if (!LoadRun(path, &run, &error)) {
-      std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-      return kExitIo;
-    }
-    runs->push_back(std::move(run));
-  }
-  return kExitOk;
-}
-
-int CmdMetrics(const std::string& cmd, const std::vector<std::string>& paths, size_t top_n) {
-  if (paths.empty()) {
-    return Usage();
-  }
-  std::vector<RunSummary> runs;
-  if (const int rc = LoadRuns(paths, &runs); rc != kExitOk) {
-    return rc;
-  }
-  const bool all = cmd == "report";
-  for (const RunSummary& run : runs) {
-    if (all || cmd == "figure10") {
-      PrintFigure10(run, std::cout);
-      std::cout << "\n";
-    }
-    if (all) {
-      PrintFaultLatency(run, std::cout);
-    }
-    if (all || cmd == "hot") {
-      PrintHotPages(run, top_n, std::cout);
-      std::cout << "\n";
-    }
-  }
-  if (all || cmd == "figure9") {
-    PrintFigure9(runs, std::cout);
-  }
-  return kExitOk;
-}
-
-int CmdTrace(const std::string& cmd, const std::vector<std::string>& paths, size_t top_n) {
-  if (paths.empty()) {
-    return Usage();
-  }
-  bool ok = true;
-  for (const std::string& path : paths) {
-    std::string text;
-    std::string error;
-    if (!dfil::report::ReadFile(path, &text, &error)) {
-      std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-      return kExitIo;
-    }
-    if (cmd == "check-trace") {
-      TraceCheck check = CheckChromeTrace(text);
-      std::printf("%s: %zu events, %zu spans, %zu/%zu flows complete — %s\n", path.c_str(),
-                  check.events, check.spans, check.complete_flows, check.flow_starts,
-                  check.ok ? "OK" : "MALFORMED");
-      for (const std::string& err : check.errors) {
-        std::printf("  %s\n", err.c_str());
-      }
-      ok = ok && check.ok;
-    } else {
-      std::cout << path << ":\n";
-      PrintCriticalPaths(ExtractFlows(text), top_n, std::cout);
-    }
-  }
-  return ok ? kExitOk : kExitCheckFailed;
-}
-
-int CmdCritpath(const std::string& cmd, const std::vector<std::string>& paths, size_t top_n,
-                const std::string& check_baseline) {
-  if (paths.empty()) {
-    return Usage();
-  }
-  std::string baseline_text;
-  std::string error;
-  if (!check_baseline.empty() &&
-      !dfil::report::ReadFile(check_baseline, &baseline_text, &error)) {
-    std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-    return kExitIo;
-  }
-  bool ok = true;
-  for (const std::string& path : paths) {
-    std::string text;
-    if (!dfil::report::ReadFile(path, &text, &error)) {
-      std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-      return kExitIo;
-    }
-    const CriticalPath critpath = BuildCriticalPath(text);
-    if (!critpath.ok && critpath.error.rfind("JSON parse error", 0) == 0) {
-      std::fprintf(stderr, "dfil_report: %s: %s\n", path.c_str(), critpath.error.c_str());
-      return kExitIo;
-    }
-    std::cout << path << ":\n";
-    if (cmd == "blame") {
-      PrintBlame(critpath, top_n, std::cout);
-    } else {
-      PrintCritPath(critpath, top_n, std::cout);
-    }
-    ok = ok && critpath.ok;
-    if (!check_baseline.empty()) {
-      error.clear();
-      GateResult gate = CheckCritpathGate(baseline_text, critpath, &error);
-      if (!error.empty()) {
-        std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-        return kExitIo;
-      }
-      for (const std::string& line : gate.lines) {
-        std::printf("%s\n", line.c_str());
-      }
-      std::printf("critpath gate: %s\n", gate.ok ? "PASS" : "FAIL");
-      ok = ok && gate.ok;
-    }
-    std::cout << "\n";
-  }
-  return ok ? kExitOk : kExitCheckFailed;
-}
-
-int CmdFlight(const std::vector<std::string>& paths) {
-  if (paths.empty()) {
-    return Usage();
-  }
-  for (const std::string& path : paths) {
-    std::string text;
-    std::string error;
-    if (!dfil::report::ReadFile(path, &text, &error)) {
-      std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-      return kExitIo;
-    }
-    FlightDump dump;
-    if (!ParseFlight(text, &dump, &error)) {
-      std::fprintf(stderr, "dfil_report: %s: %s\n", path.c_str(), error.c_str());
-      return kExitIo;
-    }
-    std::cout << path << ":\n";
-    PrintFlight(dump, std::cout);
-    std::cout << "\n";
-  }
-  return kExitOk;
-}
-
-int CmdGate(const std::vector<std::string>& paths) {
-  if (paths.size() < 2) {
-    return Usage();
-  }
-  std::string baseline_text;
-  std::string error;
-  if (!dfil::report::ReadFile(paths[0], &baseline_text, &error)) {
-    std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-    return kExitIo;
-  }
-  std::vector<RunSummary> runs;
-  if (const int rc = LoadRuns({paths.begin() + 1, paths.end()}, &runs); rc != kExitOk) {
-    return rc;
-  }
-  GateResult gate = CheckGate(baseline_text, runs, &error);
-  if (!error.empty()) {
-    std::fprintf(stderr, "dfil_report: %s\n", error.c_str());
-    return kExitIo;
-  }
-  for (const std::string& line : gate.lines) {
-    std::printf("%s\n", line.c_str());
-  }
-  std::printf("gate: %s\n", gate.ok ? "PASS" : "FAIL");
-  return gate.ok ? kExitOk : kExitCheckFailed;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    return Usage();
-  }
-  std::string cmd = argv[1];
-  if (cmd == "--gate") {
-    cmd = "gate";
-  }
-  if (cmd == "--help" || cmd == "-h" || cmd == "help") {
-    Usage();
-    return kExitOk;
-  }
-  // Flags may appear anywhere after the command; everything else is an input file, in order.
-  // The flag vocabulary is the shared report::ParseCliOptions one, restricted to the flags this
-  // tool documents — dfil_diff's --gate/--history/--force are rejected with a pointer there.
-  const CliOptions opt = ParseCliOptions(argc, argv, 2);
-  if (!opt.error.empty()) {
-    std::fprintf(stderr, "dfil_report: unrecognized flag '%s'\n", opt.error.c_str());
-    return Usage();
-  }
-  if (!opt.gate_baseline.empty() || !opt.history_path.empty() || opt.force) {
-    std::fprintf(stderr,
-                 "dfil_report: --gate/--history/--force belong to dfil_diff (the gate command "
-                 "here takes the baseline as its first operand)\n");
-    return Usage();
-  }
-  const size_t top_n = opt.top_n;
-  const std::string& check_baseline = opt.check_baseline;
-  const std::vector<std::string>& paths = opt.paths;
-  if (cmd == "report" || cmd == "figure10" || cmd == "figure9" || cmd == "hot") {
-    return CmdMetrics(cmd, paths, top_n);
-  }
-  if (cmd == "check-trace" || cmd == "paths") {
-    return CmdTrace(cmd, paths, top_n);
-  }
-  if (cmd == "critpath" || cmd == "blame") {
-    return CmdCritpath(cmd, paths, top_n, check_baseline);
-  }
-  if (cmd == "flight") {
-    return CmdFlight(paths);
-  }
-  if (cmd == "gate") {
-    return CmdGate(paths);
-  }
-  return Usage();
-}
+int main(int argc, char** argv) { return dfil::report::RunCli(argc, argv, std::cout, std::cerr); }

@@ -38,6 +38,36 @@ std::string FormatUs(double us) {
   return os.str();
 }
 
+// Integers print bare, everything else with one decimal.
+std::string DeltaNumber(double v) {
+  char buf[40];
+  if (v == static_cast<double>(static_cast<long long>(v))) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.1f", v);
+  }
+  return buf;
+}
+
+// The one JSON entry point for every artifact kind: parses `text` and, when `schema` is given,
+// requires a root object whose "schema" string names it. False + *error otherwise.
+bool ReadDocument(const std::string& text, const char* schema, json::ValuePtr* root,
+                  std::string* error) {
+  json::ParseResult parsed = json::Parse(text);
+  if (!parsed.ok()) {
+    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
+             parsed.error;
+    return false;
+  }
+  if (schema != nullptr && parsed.value->GetString("schema") != schema) {
+    *error = std::string("not a ") + schema + " document (schema=\"" +
+             parsed.value->GetString("schema") + "\")";
+    return false;
+  }
+  *root = std::move(parsed.value);
+  return true;
+}
+
 }  // namespace
 
 void HistSummary::Merge(const HistSummary& other) {
@@ -189,25 +219,11 @@ bool RequireField(const json::Value& obj, const std::string& where, const std::s
 }  // namespace
 
 bool ParseRun(const std::string& text, RunSummary* out, std::string* error) {
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  json::ValuePtr doc;
+  if (!ReadDocument(text, "dfil-metrics-v2", &doc, error)) {
     return false;
   }
-  const json::Value& root = *parsed.value;
-  if (!root.is_object()) {
-    *error = "root is not a JSON object";
-    return false;
-  }
-  if (!RequireField(root, "root", "schema", json::Type::kString, error)) {
-    return false;
-  }
-  const std::string schema = root.GetString("schema");
-  if (schema != "dfil-metrics-v1" && schema != "dfil-metrics-v2") {
-    *error = "not a dfil-metrics-v1/v2 document (schema=\"" + schema + "\")";
-    return false;
-  }
+  const json::Value& root = *doc;
   for (const char* key : {"label", "pcp"}) {
     if (!RequireField(root, "root", key, json::Type::kString, error)) {
       return false;
@@ -218,40 +234,24 @@ bool ParseRun(const std::string& text, RunSummary* out, std::string* error) {
       return false;
     }
   }
-  out->schema_version = schema == "dfil-metrics-v2" ? 2 : 1;
+  if (!RequireField(root, "root", "fingerprint", json::Type::kObject, error)) {
+    return false;
+  }
+  *out = RunSummary{};
   out->label = root.GetString("label");
   out->pcp = root.GetString("pcp");
   out->nodes = static_cast<int>(root.GetNumber("nodes"));
   out->completed = root.GetNumber("completed") != 0;
   out->makespan_us = root.GetNumber("makespan_us");
-  out->fingerprint = Fingerprint{};
-  out->provenance.clear();
-  out->cluster_counters.clear();
-  out->pools_by_fn.clear();
-  out->per_node.clear();
+  const json::Value* fp = root.Get("fingerprint");
+  out->fingerprint = Fingerprint{fp->GetString("config"), fp->GetString("git"),
+                                 fp->GetString("seed"), fp->GetString("app")};
   if (const json::Value* prov = root.Get("provenance"); prov != nullptr && prov->is_object()) {
     for (const auto& [key, value] : prov->object) {
       if (value->is_string()) {
         out->provenance[key] = value->str;
       }
     }
-  }
-  if (const json::Value* fp = root.Get("fingerprint"); fp != nullptr && fp->is_object()) {
-    out->fingerprint.config = fp->GetString("config");
-    out->fingerprint.git = fp->GetString("git");
-    out->fingerprint.seed = fp->GetString("seed");
-    out->fingerprint.app = fp->GetString("app");
-  } else {
-    // Pre-fingerprint v2 files: recover what the provenance block carries so diffing old
-    // artifacts still checks what it can.
-    auto prov_or = [out](const char* key) {
-      auto it = out->provenance.find(key);
-      return it == out->provenance.end() ? std::string() : it->second;
-    };
-    out->fingerprint.config = prov_or("config_digest");
-    out->fingerprint.git = prov_or("git");
-    out->fingerprint.seed = prov_or("seed");
-    out->fingerprint.app = prov_or("app");
   }
   if (const json::Value* cluster = root.Get("cluster"); cluster != nullptr) {
     if (!cluster->is_object()) {
@@ -351,18 +351,72 @@ bool ParseRun(const std::string& text, RunSummary* out, std::string* error) {
   return true;
 }
 
-bool LoadRun(const std::string& path, RunSummary* out, std::string* error) {
-  std::string text;
-  if (!ReadFile(path, &text, error)) {
-    return false;
+namespace {
+
+// Cluster-wide views of one run's per-node sections, shared by the tables, the gate's drift
+// attribution and the A/B diff.
+
+std::map<uint64_t, uint64_t> PageHeatTotals(const RunSummary& run) {
+  std::map<uint64_t, uint64_t> heat;
+  for (const RunSummary::Node& n : run.per_node) {
+    for (const auto& [page, faults] : n.page_heat) {
+      heat[page] += faults;
+    }
   }
-  if (!ParseRun(text, out, error)) {
-    *error = path + ": " + *error;
-    return false;
-  }
-  out->path = path;
-  return true;
+  return heat;
 }
+
+// (page, demand faults) summed across nodes, hottest first, ties by page.
+std::vector<std::pair<uint64_t, uint64_t>> HottestPages(const RunSummary& run) {
+  const auto heat = PageHeatTotals(run);
+  std::vector<std::pair<uint64_t, uint64_t>> ranked(heat.begin(), heat.end());
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  return ranked;
+}
+
+// Per-epoch rows summed across nodes: (epoch, column) -> cluster total. The epoch key is the
+// "epoch" column when present, else the row index + 1.
+std::map<std::pair<uint64_t, std::string>, double> EpochTotals(const RunSummary& run) {
+  std::map<std::pair<uint64_t, std::string>, double> totals;
+  for (const RunSummary::Node& n : run.per_node) {
+    for (size_t i = 0; i < n.epochs.size(); ++i) {
+      const auto& row = n.epochs[i];
+      uint64_t epoch = i + 1;
+      if (auto it = row.find("epoch"); it != row.end()) {
+        epoch = static_cast<uint64_t>(it->second);
+      }
+      for (const auto& [col, value] : row) {
+        if (col != "epoch") {
+          totals[{epoch, col}] += value;
+        }
+      }
+    }
+  }
+  return totals;
+}
+
+std::map<int, PoolRow> PoolsByFn(const RunSummary& run) {
+  std::map<int, PoolRow> by_fn;
+  for (const PoolRow& row : run.pools_by_fn) {
+    by_fn[row.fn] = row;
+  }
+  return by_fn;
+}
+
+// Every histogram of the run, each merged across nodes.
+std::map<std::string, HistSummary> MergedHistograms(const RunSummary& run) {
+  std::map<std::string, HistSummary> merged;
+  for (const RunSummary::Node& n : run.per_node) {
+    for (const auto& [name, hist] : n.histograms) {
+      merged[name].Merge(hist);
+    }
+  }
+  return merged;
+}
+
+}  // namespace
 
 void PrintFigure10(const RunSummary& run, std::ostream& os) {
   os << "Figure 10 — per-node time breakdown (us): " << run.label << " (" << run.pcp << ", "
@@ -440,18 +494,13 @@ void PrintFaultLatency(const RunSummary& run, std::ostream& os) {
 }
 
 void PrintHotPages(const RunSummary& run, size_t top_n, std::ostream& os) {
-  std::map<uint64_t, uint64_t> heat;  // page -> total demand faults
-  std::map<uint64_t, int> spread;     // page -> nodes that faulted it
+  const auto ranked = HottestPages(run);
+  std::map<uint64_t, int> spread;  // page -> nodes that faulted it
   for (const RunSummary::Node& n : run.per_node) {
     for (const auto& [page, faults] : n.page_heat) {
-      heat[page] += faults;
       spread[page]++;
     }
   }
-  std::vector<std::pair<uint64_t, uint64_t>> ranked(heat.begin(), heat.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
   os << "Hottest pages: " << run.label << " (" << ranked.size() << " pages faulted)\n";
   os << std::setw(10) << "page" << std::setw(10) << "faults" << std::setw(10) << "nodes" << "\n";
   for (size_t i = 0; i < ranked.size() && i < top_n; ++i) {
@@ -462,20 +511,33 @@ void PrintHotPages(const RunSummary& run, size_t top_n, std::ostream& os) {
 
 // ---- Trace analysis ------------------------------------------------------------------------
 
-namespace {
-
-// Accepts a bare event array (what WriteChromeTrace emits) or the {"traceEvents": [...]} wrapper.
-const json::Value* TraceEvents(const json::Value& root) {
-  if (root.is_array()) {
-    return &root;
+bool ParseTrace(const std::string& text, std::vector<TraceEvent>* events, std::string* error) {
+  json::ValuePtr doc;
+  if (!ReadDocument(text, nullptr, &doc, error)) {
+    return false;
   }
-  const json::Value* events = root.Get("traceEvents");
-  return events != nullptr && events->is_array() ? events : nullptr;
+  const json::Value* array = doc->is_array() ? doc.get() : doc->Get("traceEvents");
+  if (array == nullptr || !array->is_array()) {
+    *error = "no trace event array found";
+    return false;
+  }
+  events->clear();
+  events->reserve(array->array.size());
+  for (const json::ValuePtr& v : array->array) {
+    TraceEvent e;
+    const std::string ph = v->GetString("ph");
+    e.ph = ph.size() == 1 ? ph[0] : 0;
+    e.pid = static_cast<int64_t>(v->GetNumber("pid", -1));
+    e.tid = static_cast<int64_t>(v->GetNumber("tid", -1));
+    e.ts = v->GetNumber("ts", -1.0);
+    e.name = v->GetString("name");
+    e.id = static_cast<uint64_t>(v->GetNumber("id", 0));
+    events->push_back(std::move(e));
+  }
+  return true;
 }
 
-}  // namespace
-
-TraceCheck CheckChromeTrace(const std::string& text) {
+TraceCheck CheckChromeTrace(const std::vector<TraceEvent>& events) {
   TraceCheck out;
   constexpr size_t kMaxErrors = 32;
   auto fail = [&out](std::string msg) {
@@ -483,16 +545,6 @@ TraceCheck CheckChromeTrace(const std::string& text) {
       out.errors.push_back(std::move(msg));
     }
   };
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    fail("JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " + parsed.error);
-    return out;
-  }
-  const json::Value* events = TraceEvents(*parsed.value);
-  if (events == nullptr) {
-    fail("no trace event array found");
-    return out;
-  }
   struct Track {
     int depth = 0;
     double last_ts = -1.0;
@@ -500,37 +552,34 @@ TraceCheck CheckChromeTrace(const std::string& text) {
   std::map<std::pair<int64_t, int64_t>, Track> tracks;
   std::set<uint64_t> flow_start_ids;
   std::set<uint64_t> flow_end_ids;
-  for (size_t i = 0; i < events->array.size(); ++i) {
-    const json::Value& e = *events->array[i];
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
     out.events++;
-    const std::string ph = e.GetString("ph");
-    const auto pid = static_cast<int64_t>(e.GetNumber("pid", -1));
-    const auto tid = static_cast<int64_t>(e.GetNumber("tid", -1));
-    const double ts = e.GetNumber("ts", -1.0);
-    if (ph.size() != 1) {
+    if (e.ph == 0) {
       fail("event " + std::to_string(i) + ": missing/bad ph");
       continue;
     }
-    Track& track = tracks[{pid, tid}];
-    switch (ph[0]) {
+    const std::string ph(1, e.ph);
+    Track& track = tracks[{e.pid, e.tid}];
+    switch (e.ph) {
       case 'B':
       case 'E':
         // Duration events must nest and be time-ordered per (pid, tid) track.
-        if (ts < track.last_ts) {
-          fail("event " + std::to_string(i) + ": ts " + std::to_string(ts) +
-               " goes backwards on track (" + std::to_string(pid) + "," + std::to_string(tid) +
-               ")");
+        if (e.ts < track.last_ts) {
+          fail("event " + std::to_string(i) + ": ts " + std::to_string(e.ts) +
+               " goes backwards on track (" + std::to_string(e.pid) + "," +
+               std::to_string(e.tid) + ")");
         }
-        track.last_ts = ts;
-        if (ph[0] == 'B') {
-          if (e.GetString("name").empty()) {
+        track.last_ts = e.ts;
+        if (e.ph == 'B') {
+          if (e.name.empty()) {
             fail("event " + std::to_string(i) + ": B without a name");
           }
           track.depth++;
         } else {
           if (track.depth <= 0) {
             fail("event " + std::to_string(i) + ": E with no open span on track (" +
-                 std::to_string(pid) + "," + std::to_string(tid) + ")");
+                 std::to_string(e.pid) + "," + std::to_string(e.tid) + ")");
           } else {
             track.depth--;
             out.spans++;
@@ -540,19 +589,18 @@ TraceCheck CheckChromeTrace(const std::string& text) {
       case 's':
       case 't':
       case 'f': {
-        const auto id = static_cast<uint64_t>(e.GetNumber("id", 0));
-        if (id == 0) {
+        if (e.id == 0) {
           fail("event " + std::to_string(i) + ": flow '" + ph + "' without an id");
           break;
         }
-        if (ph[0] == 's') {
-          if (!flow_start_ids.insert(id).second) {
+        if (e.ph == 's') {
+          if (!flow_start_ids.insert(e.id).second) {
             fail("event " + std::to_string(i) + ": duplicate flow start id " +
-                 std::to_string(id));
+                 std::to_string(e.id));
           }
           out.flow_starts++;
-        } else if (ph[0] == 'f') {
-          flow_end_ids.insert(id);
+        } else if (e.ph == 'f') {
+          flow_end_ids.insert(e.id);
           out.flow_ends++;
         }
         break;
@@ -582,42 +630,28 @@ TraceCheck CheckChromeTrace(const std::string& text) {
   return out;
 }
 
-std::vector<FlowArc> ExtractFlows(const std::string& text) {
-  std::vector<FlowArc> arcs;
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    return arcs;
-  }
-  const json::Value* events = TraceEvents(*parsed.value);
-  if (events == nullptr) {
-    return arcs;
-  }
+std::vector<FlowArc> ExtractFlows(const std::vector<TraceEvent>& events) {
   std::map<uint64_t, FlowArc> by_id;
   std::set<uint64_t> finished;
-  for (const auto& ep : events->array) {
-    const json::Value& e = *ep;
-    const std::string ph = e.GetString("ph");
-    if (ph != "s" && ph != "t" && ph != "f") {
+  for (const TraceEvent& e : events) {
+    if ((e.ph != 's' && e.ph != 't' && e.ph != 'f') || e.id == 0) {
       continue;
     }
-    const auto id = static_cast<uint64_t>(e.GetNumber("id", 0));
-    if (id == 0) {
-      continue;
-    }
-    FlowArc& arc = by_id[id];
-    arc.id = id;
-    if (ph == "s") {
-      arc.name = e.GetString("name");
-      arc.start_ts = e.GetNumber("ts");
-      arc.start_node = static_cast<int>(e.GetNumber("pid", -1));
-    } else if (ph == "t") {
+    FlowArc& arc = by_id[e.id];
+    arc.id = e.id;
+    if (e.ph == 's') {
+      arc.name = e.name;
+      arc.start_ts = e.ts;
+      arc.start_node = static_cast<int>(e.pid);
+    } else if (e.ph == 't') {
       arc.steps++;
     } else {
-      arc.end_ts = e.GetNumber("ts");
-      arc.end_node = static_cast<int>(e.GetNumber("pid", -1));
-      finished.insert(id);
+      arc.end_ts = e.ts;
+      arc.end_node = static_cast<int>(e.pid);
+      finished.insert(e.id);
     }
   }
+  std::vector<FlowArc> arcs;
   for (const auto& [id, arc] : by_id) {
     if (arc.start_node >= 0 && finished.count(id) != 0) {
       arcs.push_back(arc);
@@ -636,7 +670,8 @@ void PrintCriticalPaths(std::vector<FlowArc> arcs, size_t top_n, std::ostream& o
     const FlowArc& a = arcs[i];
     os << std::left << std::setw(14) << a.name << std::right << std::setw(12)
        << FormatUs(a.duration_us()) << std::setw(8) << a.steps << std::setw(14)
-       << ("n" + std::to_string(a.start_node) + "->n" + std::to_string(a.end_node))
+       << std::string("n").append(std::to_string(a.start_node)).append("->n").append(
+              std::to_string(a.end_node))
        << std::setw(14) << FormatUs(a.start_ts) << "\n";
   }
 }
@@ -672,52 +707,37 @@ struct CritTrace {
   uint64_t rebalance_events = 0;  // plan/migrate instants on the rebalance track
 };
 
-bool ParseCritTrace(const std::string& text, CritTrace* out, std::string* error) {
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
-    return false;
-  }
-  const json::Value* events = TraceEvents(*parsed.value);
-  if (events == nullptr) {
-    *error = "no trace event array found";
-    return false;
-  }
+CritTrace IndexCritTrace(const std::vector<TraceEvent>& events) {
+  CritTrace out;
   // Open-span stack per (pid, tid) track; E events carry no name, so the B name rides the stack.
   std::map<std::pair<int, int64_t>, std::vector<std::pair<std::string, double>>> open;
-  for (const auto& ep : events->array) {
-    const json::Value& e = *ep;
-    const std::string ph = e.GetString("ph");
-    const int pid = static_cast<int>(e.GetNumber("pid", -1));
-    const auto tid = static_cast<int64_t>(e.GetNumber("tid", -1));
-    const double ts = e.GetNumber("ts", 0.0);
-    if (ph == "i") {
-      const std::string name = e.GetString("name");
-      if (name == "done" && ts > out->done_ts[pid]) {
-        out->done_ts[pid] = ts;
-      } else if (name.rfind("rebalance", 0) == 0) {
-        ++out->rebalance_events;
+  for (const TraceEvent& e : events) {
+    const int pid = static_cast<int>(e.pid);
+    if (e.ph == 'i') {
+      if (e.name == "done" && e.ts > out.done_ts[pid]) {
+        out.done_ts[pid] = e.ts;
+      } else if (e.name.rfind("rebalance", 0) == 0) {
+        ++out.rebalance_events;
       }
-    } else if (ph == "B") {
-      open[{pid, tid}].emplace_back(e.GetString("name"), ts);
-    } else if (ph == "E") {
-      auto& stack = open[{pid, tid}];
+    } else if (e.ph == 'B') {
+      open[{pid, e.tid}].emplace_back(e.name, e.ts);
+    } else if (e.ph == 'E') {
+      auto& stack = open[{pid, e.tid}];
       if (stack.empty()) {
-        continue;  // unbalanced track; CheckChromeTrace is the validity gate, not this parser
+        continue;  // unbalanced track; CheckChromeTrace is the validity gate, not this index
       }
       const auto [name, begin_ts] = stack.back();
       stack.pop_back();
       if (name.rfind("reduce e", 0) == 0) {
         const uint64_t epoch = std::strtoull(name.c_str() + 8, nullptr, 10);
-        out->reduces[pid][epoch] = TraceSpan{begin_ts, ts};
+        out.reduces[pid][epoch] = TraceSpan{begin_ts, e.ts};
       } else if (name.rfind("fault p", 0) == 0) {
         const uint64_t page = std::strtoull(name.c_str() + 7, nullptr, 10);
-        out->faults[pid].emplace_back(TraceSpan{begin_ts, ts}, page);
+        out.faults[pid].emplace_back(TraceSpan{begin_ts, e.ts}, page);
       }
     }
   }
-  return true;
+  return out;
 }
 
 // Decomposes the on-node interval [s, e] into page-fault stalls vs compute: fault spans are
@@ -784,12 +804,9 @@ std::vector<PathSegment> DecomposeGap(const CritTrace& t, int node, double s, do
 
 }  // namespace
 
-CriticalPath BuildCriticalPath(const std::string& trace_text) {
+CriticalPath BuildCriticalPath(const std::vector<TraceEvent>& events) {
   CriticalPath path;
-  CritTrace t;
-  if (!ParseCritTrace(trace_text, &t, &path.error)) {
-    return path;
-  }
+  const CritTrace t = IndexCritTrace(events);
   if (t.done_ts.empty()) {
     path.error = "trace has no per-node \"done\" instants (not produced by this runtime?)";
     return path;
@@ -1006,17 +1023,11 @@ void PrintBlame(const CriticalPath& path, size_t top_n, std::ostream& os) {
 // ---- Flight-recorder dumps -----------------------------------------------------------------
 
 bool ParseFlight(const std::string& text, FlightDump* out, std::string* error) {
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  json::ValuePtr doc;
+  if (!ReadDocument(text, "dfil-flight-v1", &doc, error)) {
     return false;
   }
-  const json::Value& root = *parsed.value;
-  if (root.GetString("schema") != "dfil-flight-v1") {
-    *error = "not a dfil-flight-v1 document (schema=\"" + root.GetString("schema") + "\")";
-    return false;
-  }
+  const json::Value& root = *doc;
   out->label = root.GetString("label");
   out->at_violation = root.GetNumber("at_violation") != 0;
   out->violations.clear();
@@ -1115,27 +1126,25 @@ void PrintFlight(const FlightDump& dump, std::ostream& os) {
 GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
                      std::string* error) {
   GateResult out;
-  json::ParseResult parsed = json::Parse(baseline_text);
-  if (!parsed.ok()) {
-    *error = "baseline JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  json::ValuePtr doc;
+  if (!ReadDocument(baseline_text, "dfil-gate-v1", &doc, error)) {
     out.ok = false;
     return out;
   }
-  const json::Value& root = *parsed.value;
-  if (root.GetString("schema") != "dfil-gate-v1") {
-    *error = "baseline is not a dfil-gate-v1 document";
-    out.ok = false;
-    return out;
-  }
-  const double tolerance = root.GetNumber("tolerance", 0.10);
-  const json::Value* baseline_runs = root.Get("runs");
+  const double tolerance = doc->GetNumber("tolerance", 0.10);
+  const json::Value* baseline_runs = doc->Get("runs");
   if (baseline_runs == nullptr || !baseline_runs->is_object()) {
     *error = "baseline has no runs object";
     out.ok = false;
     return out;
   }
   for (const auto& [label, expectations] : baseline_runs->object) {
+    if (!expectations->is_object()) {
+      // Otherwise the label would pass with no comparison made.
+      *error = "baseline run \"" + label + "\" is not an object of counters";
+      out.ok = false;
+      return out;
+    }
     const RunSummary* run = nullptr;
     for (const RunSummary& candidate : runs) {
       if (candidate.label == label) {
@@ -1144,8 +1153,8 @@ GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSumm
       }
     }
     if (run == nullptr) {
-      out.ok = false;
       out.lines.push_back("FAIL " + label + ": no metrics file with this label was supplied");
+      out.drifts.push_back(GateDrift{label, nullptr, ""});
       continue;
     }
     for (const auto& [counter, expected_value] : expectations->object) {
@@ -1154,38 +1163,108 @@ GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSumm
       }
       const double expected = expected_value->number;
       const auto actual = static_cast<double>(run->ClusterCounter(counter));
-      const double drift = std::abs(actual - expected) / std::max(expected, 1.0);
+      const bool fail = std::abs(actual - expected) / std::max(expected, 1.0) > tolerance;
       std::ostringstream line;
-      line << (drift > tolerance ? "FAIL " : "ok   ") << label << " " << counter << ": expected "
+      line << (fail ? "FAIL " : "ok   ") << label << " " << counter << ": expected "
            << std::llround(expected) << ", got " << std::llround(actual) << " ("
            << std::showpos << std::fixed << std::setprecision(1) << 100.0 * (actual - expected) /
                   std::max(expected, 1.0)
            << "%, tolerance ±" << std::noshowpos << 100.0 * tolerance << "%)";
       out.lines.push_back(line.str());
-      if (drift > tolerance) {
-        out.ok = false;
+      if (fail) {
+        out.drifts.push_back(GateDrift{label, run, counter});
       }
     }
   }
+  out.ok = out.drifts.empty();
   return out;
+}
+
+namespace {
+
+// Where a failing counter lives: the per-node split, the hottest pages for DSM counters, and
+// the epochs carrying the matching per-epoch column when the series records one.
+void ExplainCounter(const RunSummary& run, const std::string& counter, size_t top_n,
+                    std::ostream& os) {
+  os << "  " << run.label << " " << counter << ":\n";
+  os << "    per-node:";
+  for (const RunSummary::Node& n : run.per_node) {
+    std::ostringstream cell;
+    if (counter == "makespan_us") {
+      cell << FormatUs(n.finished_at_us);
+    } else {
+      auto it = n.counters.find(counter);
+      cell << (it == n.counters.end() ? 0 : it->second);
+    }
+    os << " n" << n.node << "=" << cell.str();
+  }
+  os << "\n";
+  if (counter.rfind("dsm.", 0) == 0) {
+    const auto ranked = HottestPages(run);
+    if (!ranked.empty()) {
+      os << "    hottest pages:";
+      for (size_t i = 0; i < ranked.size() && i < top_n; ++i) {
+        os << " p" << ranked[i].first << "=" << ranked[i].second;
+      }
+      os << "\n";
+    }
+  }
+  // The per-epoch series names columns without the layer prefix ("faults", not
+  // "dsm.read_faults"); try the counter's suffix, then the generic fault column.
+  std::string col = counter.substr(counter.rfind('.') + 1);
+  const auto epochs = EpochTotals(run);
+  auto has_col = [&epochs](const std::string& name) {
+    return std::any_of(epochs.begin(), epochs.end(),
+                       [&name](const auto& cell) { return cell.first.second == name; });
+  };
+  if (!has_col(col) && counter.find("fault") != std::string::npos && has_col("faults")) {
+    col = "faults";
+  }
+  std::vector<std::pair<uint64_t, double>> by_epoch;
+  for (const auto& [key, value] : epochs) {
+    if (key.second == col && value != 0.0) {
+      by_epoch.emplace_back(key.first, value);
+    }
+  }
+  std::sort(by_epoch.begin(), by_epoch.end(), [](const auto& x, const auto& y) {
+    return x.second != y.second ? x.second > y.second : x.first < y.first;
+  });
+  if (!by_epoch.empty()) {
+    os << "    top epochs by " << col << ":";
+    for (size_t i = 0; i < by_epoch.size() && i < top_n; ++i) {
+      os << " e" << by_epoch[i].first << "=" << DeltaNumber(by_epoch[i].second);
+    }
+    os << "\n";
+  }
+}
+
+}  // namespace
+
+void PrintGateDrift(const GateResult& gate, size_t top_n, std::ostream& os) {
+  if (gate.drifts.empty()) {
+    return;
+  }
+  os << "\nWhere the drift lives:\n";
+  for (const GateDrift& drift : gate.drifts) {
+    if (drift.run == nullptr) {
+      os << "  " << drift.label
+         << ": no metrics file with this label was supplied — check the CI\n"
+         << "  step's file list against the baseline's run labels\n";
+    } else {
+      ExplainCounter(*drift.run, drift.counter, top_n, os);
+    }
+  }
 }
 
 GateResult CheckCritpathGate(const std::string& baseline_text, const CriticalPath& path,
                              std::string* error) {
   GateResult out;
-  json::ParseResult parsed = json::Parse(baseline_text);
-  if (!parsed.ok()) {
-    *error = "baseline JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  json::ValuePtr doc;
+  if (!ReadDocument(baseline_text, "dfil-critpath-gate-v1", &doc, error)) {
     out.ok = false;
     return out;
   }
-  const json::Value& root = *parsed.value;
-  if (root.GetString("schema") != "dfil-critpath-gate-v1") {
-    *error = "baseline is not a dfil-critpath-gate-v1 document";
-    out.ok = false;
-    return out;
-  }
+  const json::Value& root = *doc;
   if (!path.ok) {
     out.ok = false;
     out.lines.push_back("FAIL critpath: " + path.error);
@@ -1260,9 +1339,7 @@ CliOptions ParseCliOptions(int argc, char** argv, int first) {
         break;
       }
       opt.top_n = static_cast<size_t>(std::strtoul(top_value.c_str(), nullptr, 10));
-    } else if (value_of("--check", &opt.check_baseline) ||
-               value_of("--gate", &opt.gate_baseline) ||
-               value_of("--history", &opt.history_path)) {
+    } else if (value_of("--check", &opt.check_baseline)) {
       if (!opt.error.empty()) {
         break;
       }
@@ -1278,7 +1355,7 @@ CliOptions ParseCliOptions(int argc, char** argv, int first) {
   return opt;
 }
 
-// ---- Run diffing (tools/dfil_diff) ---------------------------------------------------------
+// ---- Run diffing (dfil_report diff) --------------------------------------------------------
 
 double Delta::rel() const {
   return (b - a) / std::max(std::abs(a), 1.0);
@@ -1311,46 +1388,25 @@ void RankDeltas(std::vector<Delta>* deltas) {
   });
 }
 
-// Per-epoch rows summed across nodes: epoch key (the "epoch" column when present, else the row
-// index + 1) -> column -> cluster total.
-std::map<uint64_t, std::map<std::string, double>> EpochTotals(const RunSummary& run) {
-  std::map<uint64_t, std::map<std::string, double>> totals;
-  for (const RunSummary::Node& n : run.per_node) {
-    for (size_t i = 0; i < n.epochs.size(); ++i) {
-      const auto& row = n.epochs[i];
-      uint64_t epoch = i + 1;
-      if (auto it = row.find("epoch"); it != row.end()) {
-        epoch = static_cast<uint64_t>(it->second);
-      }
-      for (const auto& [col, value] : row) {
-        if (col != "epoch") {
-          totals[epoch][col] += value;
-        }
-      }
-    }
-  }
-  return totals;
-}
-
-std::map<uint64_t, uint64_t> PageHeatTotals(const RunSummary& run) {
-  std::map<uint64_t, uint64_t> heat;
-  for (const RunSummary::Node& n : run.per_node) {
-    for (const auto& [page, faults] : n.page_heat) {
-      heat[page] += faults;
-    }
-  }
-  return heat;
-}
-
-std::map<int, PoolRow> PoolsByFn(const RunSummary& run) {
-  std::map<int, PoolRow> by_fn;
-  for (const PoolRow& row : run.pools_by_fn) {
-    by_fn[row.fn] = row;
-  }
-  return by_fn;
-}
-
 std::string FnLabel(int fn) { return fn < 0 ? std::string("residual") : "fn" + std::to_string(fn); }
+
+// The A/B join every diff section shares: f(key, A's value, B's value) over the union of both
+// maps' keys in key order, a side without the key contributing a value-initialized V.
+template <typename K, typename V, typename F>
+void JoinAB(const std::map<K, V>& a, const std::map<K, V>& b, F f) {
+  std::set<K> keys;
+  for (const auto& [key, value] : a) {
+    keys.insert(key);
+  }
+  for (const auto& [key, value] : b) {
+    keys.insert(key);
+  }
+  for (const K& key : keys) {
+    const auto ia = a.find(key);
+    const auto ib = b.find(key);
+    f(key, ia == a.end() ? V{} : ia->second, ib == b.end() ? V{} : ib->second);
+  }
+}
 
 }  // namespace
 
@@ -1404,107 +1460,37 @@ RunDiff DiffRuns(const RunSummary& a, const RunSummary& b) {
   d.fingerprints = CompareFingerprints(a, b);
   d.makespan = Delta{"makespan_us", a.makespan_us, b.makespan_us};
 
-  std::set<std::string> counter_names;
-  for (const auto& [name, value] : a.cluster_counters) {
-    counter_names.insert(name);
-  }
-  for (const auto& [name, value] : b.cluster_counters) {
-    counter_names.insert(name);
-  }
-  for (const std::string& name : counter_names) {
-    AddDelta(&d.counters, name, static_cast<double>(a.ClusterCounter(name)),
-             static_cast<double>(b.ClusterCounter(name)));
-  }
-
-  std::set<std::string> hist_names;
-  for (const RunSummary* run : {&a, &b}) {
-    for (const RunSummary::Node& n : run->per_node) {
-      for (const auto& [name, hist] : n.histograms) {
-        hist_names.insert(name);
-      }
-    }
-  }
-  for (const std::string& name : hist_names) {
-    const HistSummary ha = a.MergedHistogram(name);
-    const HistSummary hb = b.MergedHistogram(name);
-    AddDelta(&d.histograms, name + ".p50", ha.Percentile(50.0), hb.Percentile(50.0));
-    AddDelta(&d.histograms, name + ".p99", ha.Percentile(99.0), hb.Percentile(99.0));
-  }
-
-  const auto epochs_a = EpochTotals(a);
-  const auto epochs_b = EpochTotals(b);
-  std::set<uint64_t> epoch_keys;
-  for (const auto& [epoch, cols] : epochs_a) {
-    epoch_keys.insert(epoch);
-  }
-  for (const auto& [epoch, cols] : epochs_b) {
-    epoch_keys.insert(epoch);
-  }
-  for (const uint64_t epoch : epoch_keys) {
-    std::set<std::string> cols;
-    if (auto it = epochs_a.find(epoch); it != epochs_a.end()) {
-      for (const auto& [col, value] : it->second) {
-        cols.insert(col);
-      }
-    }
-    if (auto it = epochs_b.find(epoch); it != epochs_b.end()) {
-      for (const auto& [col, value] : it->second) {
-        cols.insert(col);
-      }
-    }
-    for (const std::string& col : cols) {
-      auto cell = [epoch, &col](const std::map<uint64_t, std::map<std::string, double>>& totals) {
-        auto it = totals.find(epoch);
-        if (it == totals.end()) {
-          return 0.0;
-        }
-        auto ct = it->second.find(col);
-        return ct == it->second.end() ? 0.0 : ct->second;
-      };
-      AddDelta(&d.epochs, "e" + std::to_string(epoch) + "." + col, cell(epochs_a),
-               cell(epochs_b));
-    }
-  }
-
-  const auto pools_a = PoolsByFn(a);
-  const auto pools_b = PoolsByFn(b);
-  std::set<int> fns;
-  for (const auto& [fn, row] : pools_a) {
-    fns.insert(fn);
-  }
-  for (const auto& [fn, row] : pools_b) {
-    fns.insert(fn);
-  }
-  for (const int fn : fns) {
-    const PoolRow ra = pools_a.count(fn) != 0 ? pools_a.at(fn) : PoolRow{};
-    const PoolRow rb = pools_b.count(fn) != 0 ? pools_b.at(fn) : PoolRow{};
+  JoinAB(a.cluster_counters, b.cluster_counters,
+         [&d](const std::string& name, uint64_t x, uint64_t y) {
+           AddDelta(&d.counters, name, static_cast<double>(x), static_cast<double>(y));
+         });
+  JoinAB(MergedHistograms(a), MergedHistograms(b),
+         [&d](const std::string& name, const HistSummary& x, const HistSummary& y) {
+           AddDelta(&d.histograms, name + ".p50", x.Percentile(50.0), y.Percentile(50.0));
+           AddDelta(&d.histograms, name + ".p99", x.Percentile(99.0), y.Percentile(99.0));
+         });
+  JoinAB(EpochTotals(a), EpochTotals(b),
+         [&d](const std::pair<uint64_t, std::string>& cell, double x, double y) {
+           std::string name = "e";
+           name.append(std::to_string(cell.first)).append(".").append(cell.second);
+           AddDelta(&d.epochs, std::move(name), x, y);
+         });
+  JoinAB(PoolsByFn(a), PoolsByFn(b), [&d](int fn, const PoolRow& x, const PoolRow& y) {
     const std::string prefix = FnLabel(fn) + ".";
-    AddDelta(&d.pools, prefix + "run_us", ra.run_us, rb.run_us);
-    AddDelta(&d.pools, prefix + "blocked_us", ra.blocked_us, rb.blocked_us);
-    AddDelta(&d.pools, prefix + "serve_us", ra.serve_us, rb.serve_us);
-    AddDelta(&d.pools, prefix + "faults", static_cast<double>(ra.faults),
-             static_cast<double>(rb.faults));
-    AddDelta(&d.pools, prefix + "filaments_run", static_cast<double>(ra.filaments_run),
-             static_cast<double>(rb.filaments_run));
-    AddDelta(&d.pools, prefix + "migrated_in", static_cast<double>(ra.migrated_in),
-             static_cast<double>(rb.migrated_in));
-  }
-
-  const auto heat_a = PageHeatTotals(a);
-  const auto heat_b = PageHeatTotals(b);
-  std::set<uint64_t> pages;
-  for (const auto& [page, faults] : heat_a) {
-    pages.insert(page);
-  }
-  for (const auto& [page, faults] : heat_b) {
-    pages.insert(page);
-  }
-  for (const uint64_t page : pages) {
-    const auto fa = heat_a.count(page) != 0 ? heat_a.at(page) : 0;
-    const auto fb = heat_b.count(page) != 0 ? heat_b.at(page) : 0;
-    AddDelta(&d.pages, "page " + std::to_string(page), static_cast<double>(fa),
-             static_cast<double>(fb));
-  }
+    AddDelta(&d.pools, prefix + "run_us", x.run_us, y.run_us);
+    AddDelta(&d.pools, prefix + "blocked_us", x.blocked_us, y.blocked_us);
+    AddDelta(&d.pools, prefix + "serve_us", x.serve_us, y.serve_us);
+    AddDelta(&d.pools, prefix + "faults", static_cast<double>(x.faults),
+             static_cast<double>(y.faults));
+    AddDelta(&d.pools, prefix + "filaments_run", static_cast<double>(x.filaments_run),
+             static_cast<double>(y.filaments_run));
+    AddDelta(&d.pools, prefix + "migrated_in", static_cast<double>(x.migrated_in),
+             static_cast<double>(y.migrated_in));
+  });
+  JoinAB(PageHeatTotals(a), PageHeatTotals(b), [&d](uint64_t page, uint64_t x, uint64_t y) {
+    AddDelta(&d.pages, "page " + std::to_string(page), static_cast<double>(x),
+             static_cast<double>(y));
+  });
 
   RankDeltas(&d.counters);
   RankDeltas(&d.histograms);
@@ -1515,16 +1501,6 @@ RunDiff DiffRuns(const RunSummary& a, const RunSummary& b) {
 }
 
 namespace {
-
-std::string DeltaNumber(double v) {
-  char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1f", v);
-  }
-  return buf;
-}
 
 std::string RelPct(const Delta& d) {
   // Appearing / vanishing quantities would print as absurd percentages of the +/-1 floor;
@@ -1605,23 +1581,17 @@ void PrintRunDiff(const RunDiff& diff, const RunSummary& a, const RunSummary& b,
 }
 
 std::vector<Delta> DiffBlame(const CriticalPath& a, const CriticalPath& b) {
-  std::map<std::string, Delta> joined;
-  for (const BlameRow& row : BlamePath(a)) {
-    Delta& d = joined[row.label];
-    d.name = row.label;
-    d.a = row.us;
-  }
-  for (const BlameRow& row : BlamePath(b)) {
-    Delta& d = joined[row.label];
-    d.name = row.label;
-    d.b = row.us;
-  }
-  std::vector<Delta> out;
-  for (auto& [label, d] : joined) {
-    if (d.a != d.b) {
-      out.push_back(std::move(d));
+  auto path_us = [](const CriticalPath& path) {
+    std::map<std::string, double> by_cause;
+    for (const BlameRow& row : BlamePath(path)) {
+      by_cause[row.label] = row.us;
     }
-  }
+    return by_cause;
+  };
+  std::vector<Delta> out;
+  JoinAB(path_us(a), path_us(b), [&out](const std::string& cause, double x, double y) {
+    AddDelta(&out, cause, x, y);
+  });
   RankDeltas(&out);
   return out;
 }
@@ -1634,135 +1604,32 @@ void PrintBlameDiff(const std::vector<Delta>& deltas, size_t top_n, std::ostream
   PrintDeltaTable("Critical-path blame deltas (us on the path)", deltas, top_n, os);
 }
 
-// ---- Gate explanation (dfil_diff --gate) ---------------------------------------------------
+// ---- Result history (bench/HISTORY.jsonl) --------------------------------------------------
 
 namespace {
 
-// Where a failing counter lives: the per-node split, the hottest pages for DSM counters, and
-// the epochs carrying the matching per-epoch column when the series records one.
-void ExplainCounter(const RunSummary& run, const std::string& counter, size_t top_n,
-                    std::ostream& os) {
-  os << "  " << run.label << " " << counter << ":\n";
-  os << "    per-node:";
-  for (const RunSummary::Node& n : run.per_node) {
-    std::ostringstream cell;
-    if (counter == "makespan_us") {
-      cell << FormatUs(n.finished_at_us);
-    } else {
-      auto it = n.counters.find(counter);
-      cell << (it == n.counters.end() ? 0 : it->second);
-    }
-    os << " n" << n.node << "=" << cell.str();
-  }
-  os << "\n";
-  if (counter.rfind("dsm.", 0) == 0) {
-    const auto heat = PageHeatTotals(run);
-    std::vector<std::pair<uint64_t, uint64_t>> ranked(heat.begin(), heat.end());
-    std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {
-      return x.second != y.second ? x.second > y.second : x.first < y.first;
-    });
-    if (!ranked.empty()) {
-      os << "    hottest pages:";
-      for (size_t i = 0; i < ranked.size() && i < top_n; ++i) {
-        os << " p" << ranked[i].first << "=" << ranked[i].second;
-      }
-      os << "\n";
-    }
-  }
-  // The per-epoch series names columns without the layer prefix ("faults", not
-  // "dsm.read_faults"); try the counter's suffix, then the generic fault column.
-  std::string col = counter.substr(counter.rfind('.') + 1);
-  const auto epochs = EpochTotals(run);
-  auto has_col = [&epochs](const std::string& name) {
-    for (const auto& [epoch, cols] : epochs) {
-      if (cols.count(name) != 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-  if (!has_col(col) && counter.find("fault") != std::string::npos && has_col("faults")) {
-    col = "faults";
-  }
-  if (has_col(col)) {
-    std::vector<std::pair<uint64_t, double>> by_epoch;
-    for (const auto& [epoch, cols] : epochs) {
-      if (auto it = cols.find(col); it != cols.end() && it->second != 0.0) {
-        by_epoch.emplace_back(epoch, it->second);
-      }
-    }
-    std::sort(by_epoch.begin(), by_epoch.end(), [](const auto& x, const auto& y) {
-      return x.second != y.second ? x.second > y.second : x.first < y.first;
-    });
-    if (!by_epoch.empty()) {
-      os << "    top epochs by " << col << ":";
-      for (size_t i = 0; i < by_epoch.size() && i < top_n; ++i) {
-        os << " e" << by_epoch[i].first << "=" << DeltaNumber(by_epoch[i].second);
-      }
-      os << "\n";
-    }
-  }
+// Writes `, "key": "value"` with both strings escaped.
+void WriteStringField(std::ostream& os, const std::string& key, const std::string& value) {
+  os << ", \"";
+  json::WriteEscaped(os, key);
+  os << "\": \"";
+  json::WriteEscaped(os, value);
+  os << "\"";
 }
 
 }  // namespace
 
-GateResult ExplainGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
-                       size_t top_n, std::ostream& os, std::string* error) {
-  GateResult gate = CheckGate(baseline_text, runs, error);
-  if (!error->empty()) {
-    return gate;
-  }
-  for (const std::string& line : gate.lines) {
-    os << line << "\n";
-  }
-  if (gate.ok) {
-    return gate;
-  }
-  // Re-walk the baseline for the failing (label, counter) pairs; CheckGate just validated it.
-  json::ParseResult parsed = json::Parse(baseline_text);
-  const json::Value& root = *parsed.value;
-  const double tolerance = root.GetNumber("tolerance", 0.10);
-  const json::Value* baseline_runs = root.Get("runs");
-  os << "\nWhere the drift lives:\n";
-  for (const auto& [label, expectations] : baseline_runs->object) {
-    if (!expectations->is_object()) {
-      continue;
-    }
-    const RunSummary* run = nullptr;
-    for (const RunSummary& candidate : runs) {
-      if (candidate.label == label) {
-        run = &candidate;
-        break;
-      }
-    }
-    if (run == nullptr) {
-      os << "  " << label << ": no metrics file with this label was supplied — check the CI\n"
-         << "  step's file list against the baseline's run labels\n";
-      continue;
-    }
-    for (const auto& [counter, expected_value] : expectations->object) {
-      if (!expected_value->is_number()) {
-        continue;
-      }
-      const double expected = expected_value->number;
-      const auto actual = static_cast<double>(run->ClusterCounter(counter));
-      if (std::abs(actual - expected) / std::max(expected, 1.0) > tolerance) {
-        ExplainCounter(*run, counter, top_n, os);
-      }
-    }
-  }
-  return gate;
-}
-
-// ---- Result history (bench/HISTORY.jsonl) --------------------------------------------------
-
 std::string HistoryLine(const RunSummary& run) {
   std::ostringstream os;
-  os << "{\"kind\": \"metrics\", \"label\": \"" << run.label << "\", \"app\": \""
-     << run.fingerprint.app << "\", \"config\": \"" << run.fingerprint.config << "\", \"git\": \""
-     << run.fingerprint.git << "\", \"seed\": \"" << run.fingerprint.seed
-     << "\", \"nodes\": " << run.nodes << ", \"pcp\": \"" << run.pcp
-     << "\", \"completed\": " << (run.completed ? 1 : 0)
+  os << "{\"kind\": \"metrics\"";
+  WriteStringField(os, "label", run.label);
+  WriteStringField(os, "app", run.fingerprint.app);
+  WriteStringField(os, "config", run.fingerprint.config);
+  WriteStringField(os, "git", run.fingerprint.git);
+  WriteStringField(os, "seed", run.fingerprint.seed);
+  os << ", \"nodes\": " << run.nodes;
+  WriteStringField(os, "pcp", run.pcp);
+  os << ", \"completed\": " << (run.completed ? 1 : 0)
      << ", \"makespan_us\": " << DeltaNumber(run.makespan_us) << ", \"counters\": {";
   bool first = true;
   for (const char* counter : kFigure9Counters) {
@@ -1778,23 +1645,24 @@ std::string HistoryLine(const RunSummary& run) {
 }
 
 bool BenchHistoryLine(const std::string& bench_json_text, std::string* line, std::string* error) {
-  json::ParseResult parsed = json::Parse(bench_json_text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  json::ValuePtr doc;
+  if (!ReadDocument(bench_json_text, nullptr, &doc, error)) {
     return false;
   }
-  const json::Value& root = *parsed.value;
-  if (!root.is_object() || root.Get("bench") == nullptr || !root.Get("bench")->is_string()) {
+  const json::Value& root = *doc;
+  if (root.Get("bench") == nullptr || !root.Get("bench")->is_string()) {
     *error = "not a BENCH_*.json report (no \"bench\" string field)";
     return false;
   }
   std::ostringstream os;
-  os << "{\"kind\": \"bench\", \"bench\": \"" << root.GetString("bench") << "\"";
+  os << "{\"kind\": \"bench\"";
+  WriteStringField(os, "bench", root.GetString("bench"));
   size_t rows = 0;
   for (const auto& [key, value] : root.object) {
     if (value->is_number()) {
-      os << ", \"" << key << "\": " << DeltaNumber(value->number);
+      os << ", \"";
+      json::WriteEscaped(os, key);
+      os << "\": " << DeltaNumber(value->number);
     } else if (key == "rows" && value->is_array()) {
       rows = value->array.size();
     }
@@ -1812,6 +1680,12 @@ bool AppendHistory(const std::string& path, const std::vector<std::string>& line
     std::ifstream in(path);  // absent file = empty history, created below
     std::string line;
     while (std::getline(in, line)) {
+      // Every record starts with its kind; anything else is not a history file (say, a METRICS
+      // file given where the history file belongs), and appending would corrupt it.
+      if (!line.empty() && line.rfind("{\"kind\": ", 0) != 0) {
+        *error = path + ": not a result-history file (a line without a \"kind\" prefix)";
+        return false;
+      }
       existing.insert(line);
     }
   }
@@ -1831,6 +1705,319 @@ bool AppendHistory(const std::string& path, const std::vector<std::string>& line
     return false;
   }
   return true;
+}
+
+// ---- Command line --------------------------------------------------------------------------
+
+namespace {
+
+int Usage(std::ostream& err) {
+  err << "usage: dfil_report <command> [flags] <operands...>\n"
+         "\n"
+         "metrics commands (METRICS_*.json, dfil-metrics-v2):\n"
+         "  report      METRICS_*.json        Figure 10 + fault latency + hottest pages per run,\n"
+         "                                    Figure 9 across runs\n"
+         "  figure10    METRICS_*.json        per-node time breakdown only\n"
+         "  figure9     METRICS_*.json        message counts per protocol only\n"
+         "  hot         METRICS_*.json        hottest pages only\n"
+         "\n"
+         "trace commands (Chrome trace-event JSON):\n"
+         "  check-trace TRACE.json...         structural validity (span nesting, flow arcs)\n"
+         "  paths       TRACE.json...         longest single-fault flow arcs\n"
+         "  critpath    TRACE.json...         end-to-end critical path: per-hop compute /\n"
+         "                                    page-fault / barrier blame and the what-if bound\n"
+         "  blame       TRACE.json...         critical-path residency ranked by cause\n"
+         "                                    (page / barrier epoch / node compute)\n"
+         "\n"
+         "failure forensics (FLIGHT_*.json, dfil-flight-v1):\n"
+         "  flight      FLIGHT.json...        render a flight-recorder dump: oracle violations,\n"
+         "                                    last wait events per node, recent fault injections\n"
+         "\n"
+         "A/B attribution and history:\n"
+         "  diff     A_METRICS.json B_METRICS.json [A_TRACE.json B_TRACE.json]\n"
+         "                                    fingerprint check, then ranked per-counter /\n"
+         "                                    histogram / pool / epoch / page deltas; with the\n"
+         "                                    trace pair, the critical-path blame deltas too\n"
+         "  history  FILE.jsonl METRICS_*.json|BENCH_*.json...\n"
+         "                                    append one-line summaries, skipping duplicates\n"
+         "\n"
+         "CI gates:\n"
+         "  gate     BASELINE.json METRICS_*.json   counter-regression gate (dfil-gate-v1);\n"
+         "                                    on failure, where the drift lives (per-node\n"
+         "                                    split, hottest pages, top epochs)\n"
+         "  critpath --check BASELINE.json TRACE.json\n"
+         "                                    gate the path's wait-category shares\n"
+         "                                    (dfil-critpath-gate-v1)\n"
+         "\n"
+         "flags (position-independent):\n"
+         "  --top N          rows/hops to print (default 10)\n"
+         "  --check FILE     critpath/blame: gate against a dfil-critpath-gate-v1 baseline\n"
+         "  --force          diff: compare even when the fingerprints are incompatible\n"
+         "\n"
+         "exit codes (scripts may rely on them):\n"
+         "  0 ok, 1 gate/check failure or incompatible runs, 2 usage error,\n"
+         "  3 unreadable/unparseable input\n";
+  return kExitUsage;
+}
+
+// Reports `what` on err and returns `rc`.
+int Fail(std::ostream& err, const std::string& what, int rc) {
+  err << "dfil_report: " << what << "\n";
+  return rc;
+}
+
+// Reads `path` and parses it with `parse` (ParseRun, ParseTrace or ParseFlight); a parse error
+// names the file.
+template <typename T>
+bool LoadFile(const std::string& path, bool (*parse)(const std::string&, T*, std::string*),
+              T* out, std::string* error) {
+  std::string text;
+  if (!ReadFile(path, &text, error)) {
+    return false;
+  }
+  if (!parse(text, out, error)) {
+    *error = path + ": " + *error;
+    return false;
+  }
+  return true;
+}
+
+bool LoadRuns(const std::vector<std::string>& paths, std::vector<RunSummary>* runs,
+              std::string* error) {
+  for (const std::string& path : paths) {
+    RunSummary run;
+    if (!LoadFile(path, ParseRun, &run, error)) {
+      return false;
+    }
+    runs->push_back(std::move(run));
+  }
+  return true;
+}
+
+int CmdMetrics(const std::string& cmd, const CliOptions& opt, std::ostream& out,
+               std::ostream& err) {
+  std::vector<RunSummary> runs;
+  std::string error;
+  if (!LoadRuns(opt.paths, &runs, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  const bool all = cmd == "report";
+  for (const RunSummary& run : runs) {
+    if (all || cmd == "figure10") {
+      PrintFigure10(run, out);
+      out << "\n";
+    }
+    if (all) {
+      PrintFaultLatency(run, out);
+    }
+    if (all || cmd == "hot") {
+      PrintHotPages(run, opt.top_n, out);
+      out << "\n";
+    }
+  }
+  if (all || cmd == "figure9") {
+    PrintFigure9(runs, out);
+  }
+  return kExitOk;
+}
+
+int CmdTrace(const std::string& cmd, const CliOptions& opt, std::ostream& out,
+             std::ostream& err) {
+  const bool critpath = cmd == "critpath" || cmd == "blame";
+  std::string baseline_text;
+  std::string error;
+  if (critpath && !opt.check_baseline.empty() &&
+      !ReadFile(opt.check_baseline, &baseline_text, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  bool ok = true;
+  for (const std::string& path : opt.paths) {
+    std::vector<TraceEvent> events;
+    if (!LoadFile(path, ParseTrace, &events, &error)) {
+      return Fail(err, error, kExitIo);
+    }
+    if (cmd == "check-trace") {
+      const TraceCheck check = CheckChromeTrace(events);
+      out << path << ": " << check.events << " events, " << check.spans << " spans, "
+          << check.complete_flows << "/" << check.flow_starts << " flows complete — "
+          << (check.ok ? "OK" : "MALFORMED") << "\n";
+      for (const std::string& line : check.errors) {
+        out << "  " << line << "\n";
+      }
+      ok = ok && check.ok;
+      continue;
+    }
+    out << path << ":\n";
+    if (!critpath) {
+      PrintCriticalPaths(ExtractFlows(events), opt.top_n, out);
+      continue;
+    }
+    const CriticalPath path_built = BuildCriticalPath(events);
+    if (cmd == "blame") {
+      PrintBlame(path_built, opt.top_n, out);
+    } else {
+      PrintCritPath(path_built, opt.top_n, out);
+    }
+    ok = ok && path_built.ok;
+    if (!opt.check_baseline.empty()) {
+      const GateResult gate = CheckCritpathGate(baseline_text, path_built, &error);
+      if (!error.empty()) {
+        return Fail(err, opt.check_baseline + ": " + error, kExitIo);
+      }
+      for (const std::string& line : gate.lines) {
+        out << line << "\n";
+      }
+      out << "critpath gate: " << (gate.ok ? "PASS" : "FAIL") << "\n";
+      ok = ok && gate.ok;
+    }
+    out << "\n";
+  }
+  return ok ? kExitOk : kExitCheckFailed;
+}
+
+int CmdFlight(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  for (const std::string& path : opt.paths) {
+    std::string error;
+    FlightDump dump;
+    if (!LoadFile(path, ParseFlight, &dump, &error)) {
+      return Fail(err, error, kExitIo);
+    }
+    out << path << ":\n";
+    PrintFlight(dump, out);
+    out << "\n";
+  }
+  return kExitOk;
+}
+
+int CmdGate(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  const std::string& baseline = opt.paths[0];
+  std::string baseline_text;
+  std::string error;
+  std::vector<RunSummary> runs;
+  if (!ReadFile(baseline, &baseline_text, &error) ||
+      !LoadRuns({opt.paths.begin() + 1, opt.paths.end()}, &runs, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  const GateResult gate = CheckGate(baseline_text, runs, &error);
+  if (!error.empty()) {
+    return Fail(err, baseline + ": " + error, kExitIo);
+  }
+  for (const std::string& line : gate.lines) {
+    out << line << "\n";
+  }
+  PrintGateDrift(gate, opt.top_n, out);
+  out << "gate: " << (gate.ok ? "PASS" : "FAIL") << "\n";
+  return gate.ok ? kExitOk : kExitCheckFailed;
+}
+
+int CmdDiff(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  std::vector<RunSummary> runs;
+  std::string error;
+  if (!LoadRuns({opt.paths[0], opt.paths[1]}, &runs, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  const RunDiff diff = DiffRuns(runs[0], runs[1]);
+  PrintRunDiff(diff, runs[0], runs[1], opt.top_n, out);
+  if (!diff.fingerprints.compatible && !opt.force) {
+    return Fail(err,
+                "fingerprints are incompatible — the deltas above compare different programs "
+                "(use --force to accept them anyway)",
+                kExitCheckFailed);
+  }
+  if (opt.paths.size() == 2) {
+    return kExitOk;
+  }
+  std::vector<TraceEvent> events_a;
+  std::vector<TraceEvent> events_b;
+  if (!LoadFile(opt.paths[2], ParseTrace, &events_a, &error) ||
+      !LoadFile(opt.paths[3], ParseTrace, &events_b, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  const CriticalPath path_a = BuildCriticalPath(events_a);
+  const CriticalPath path_b = BuildCriticalPath(events_b);
+  if (!path_a.ok) {
+    return Fail(err, opt.paths[2] + ": " + path_a.error, kExitCheckFailed);
+  }
+  if (!path_b.ok) {
+    return Fail(err, opt.paths[3] + ": " + path_b.error, kExitCheckFailed);
+  }
+  out << "\nCritical path A (" << opt.paths[2] << "):\n";
+  PrintCritPath(path_a, 3, out);
+  out << "\nCritical path B (" << opt.paths[3] << "):\n";
+  PrintCritPath(path_b, 3, out);
+  out << "\n";
+  PrintBlameDiff(DiffBlame(path_a, path_b), opt.top_n, out);
+  return kExitOk;
+}
+
+int CmdHistory(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  const std::string& history = opt.paths[0];
+  std::vector<std::string> lines;
+  std::string error;
+  for (size_t i = 1; i < opt.paths.size(); ++i) {
+    const std::string& path = opt.paths[i];
+    std::string text;
+    if (!ReadFile(path, &text, &error)) {
+      return Fail(err, error, kExitIo);
+    }
+    // METRICS files carry a dfil-metrics schema tag; everything else must be a BENCH report.
+    std::string line;
+    if (text.find("\"dfil-metrics-v") != std::string::npos) {
+      RunSummary run;
+      if (!ParseRun(text, &run, &error)) {
+        return Fail(err, path + ": " + error, kExitIo);
+      }
+      line = HistoryLine(run);
+    } else if (!BenchHistoryLine(text, &line, &error)) {
+      return Fail(err, path + ": " + error, kExitIo);
+    }
+    lines.push_back(std::move(line));
+  }
+  size_t appended = 0;
+  if (!AppendHistory(history, lines, &appended, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  out << "appended " << appended << " line(s) to " << history << " ("
+      << lines.size() - appended << " duplicate(s) skipped)\n";
+  return kExitOk;
+}
+
+}  // namespace
+
+int RunCli(int argc, char** argv, std::ostream& out, std::ostream& err) {
+  const std::string cmd = argc >= 2 ? argv[1] : "";
+  if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+    Usage(err);
+    return kExitOk;
+  }
+  // Flags may appear anywhere after the command; everything else is an operand, in order.
+  const CliOptions opt = ParseCliOptions(argc, argv, 2);
+  if (!opt.error.empty()) {
+    err << "dfil_report: unrecognized flag '" << opt.error << "'\n";
+    return Usage(err);
+  }
+  const size_t operands = opt.paths.size();
+  if (operands >= 1 &&
+      (cmd == "report" || cmd == "figure10" || cmd == "figure9" || cmd == "hot")) {
+    return CmdMetrics(cmd, opt, out, err);
+  }
+  if (operands >= 1 &&
+      (cmd == "check-trace" || cmd == "paths" || cmd == "critpath" || cmd == "blame")) {
+    return CmdTrace(cmd, opt, out, err);
+  }
+  if (operands >= 1 && cmd == "flight") {
+    return CmdFlight(opt, out, err);
+  }
+  if (operands >= 2 && cmd == "gate") {
+    return CmdGate(opt, out, err);
+  }
+  if ((operands == 2 || operands == 4) && cmd == "diff") {
+    return CmdDiff(opt, out, err);
+  }
+  if (operands >= 2 && cmd == "history") {
+    return CmdHistory(opt, out, err);
+  }
+  return Usage(err);
 }
 
 }  // namespace dfil::report

@@ -1,15 +1,16 @@
 // Analysis library behind tools/dfil_report and the observability tests.
 //
-// Consumes the two JSON artifacts the runtime emits — METRICS_<label>.json (dfil-metrics-v1,
-// src/core/metrics_io.h) and Chrome trace-event files (TraceRecorder::WriteChromeTrace) — and
-// renders the paper's analysis tables:
+// Consumes the three JSON artifacts the runtime emits — METRICS_<label>.json (dfil-metrics-v2,
+// src/core/metrics_io.h), Chrome trace-event files (TraceRecorder::WriteChromeTrace) and
+// FLIGHT_*.json flight-recorder dumps — and renders the paper's analysis tables:
 //   * Figure 10: per-node stacked time breakdown (work / filament_exec / data_transfer /
 //     sync_overhead / sync_delay / idle).
 //   * Figure 9: message counts per page-consistency protocol, side by side across runs, with
 //     p50/p99 fault latency from the merged per-node histograms.
 //   * Hottest pages (per-page demand-fault heat) and the longest fault critical paths (complete
 //     s->t->f flow arcs reconstructed from the trace).
-// It also hosts the trace-validity checker and the CI counter-regression gate.
+// It also hosts the trace-validity checker, the CI gates, A/B run diffing, the result history,
+// and the dfil_report command line itself (RunCli).
 #ifndef DFIL_TOOLS_REPORT_LIB_H_
 #define DFIL_TOOLS_REPORT_LIB_H_
 
@@ -22,10 +23,10 @@
 
 namespace dfil::report {
 
-// ---- Shared CLI contract -------------------------------------------------------------------
+// ---- Command line --------------------------------------------------------------------------
 
-// Exit-code contract shared by every analysis CLI (dfil_report, dfil_diff). Scripts and CI steps
-// key off these values, so they are part of the tools' public interface:
+// Exit-code contract of dfil_report. Scripts and CI steps key off these values, so they are part
+// of the tool's public interface:
 //   0  success
 //   1  a gate or check failed (counter drift, malformed trace, incompatible fingerprints)
 //   2  usage error (unknown command, missing operands, bad flag)
@@ -35,18 +36,20 @@ constexpr int kExitCheckFailed = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
-// The position-independent flag vocabulary shared by dfil_report and dfil_diff. Each tool uses
-// the subset it documents; unknown "--flags" set `error` and the caller prints usage (exit 2).
+// The position-independent flag vocabulary; each command uses the subset it documents. Unknown
+// "--flags" set `error` and the caller prints usage (exit 2).
 struct CliOptions {
   size_t top_n = 10;           // --top N / --top=N
-  std::string check_baseline;  // --check FILE   (dfil_report critpath)
-  std::string gate_baseline;   // --gate FILE    (dfil_diff gate-explain mode)
-  std::string history_path;    // --history FILE (dfil_diff history-append mode)
-  bool force = false;          // --force        (dfil_diff: diff despite incompatible runs)
+  std::string check_baseline;  // --check FILE (critpath / blame)
+  bool force = false;          // --force      (diff: compare despite incompatible runs)
   std::vector<std::string> paths;  // bare operands, in order
   std::string error;           // non-empty = malformed/unknown flag (the offending token)
 };
 CliOptions ParseCliOptions(int argc, char** argv, int first);
+
+// The whole dfil_report command line: argv[1] is the command, the rest its operands and flags.
+// Results go to `out`, diagnostics and usage to `err`; returns the exit code above.
+int RunCli(int argc, char** argv, std::ostream& out, std::ostream& err);
 
 // One histogram as exported by MetricsRegistry::WriteJson, buckets included so histograms from
 // different nodes can be merged before computing cluster-wide percentiles.
@@ -65,15 +68,12 @@ struct HistSummary {
 
 // The run fingerprint stamped into every dfil-metrics-v2 document (src/core/metrics_io.h):
 // "config" is ClusterConfig::DigestHex() over every schedule-affecting knob, "git" the build's
-// commit, "seed" the cluster RNG seed, "app" the program identity. Empty fields = a v1 or
-// pre-fingerprint file.
+// commit, "seed" the cluster RNG seed, "app" the program identity. An empty field is unknown.
 struct Fingerprint {
   std::string config;
   std::string git;
   std::string seed;
   std::string app;
-
-  bool empty() const { return config.empty() && git.empty() && seed.empty() && app.empty(); }
 };
 
 // One row of the per-pool profiling section ("pools" per node, "pools_by_fn" cluster-wide).
@@ -89,13 +89,10 @@ struct PoolRow {
   uint64_t migrated_in = 0;
 };
 
-// A parsed dfil-metrics-v1 or -v2 document. v2-only fields (provenance, the wait-state ledgers,
-// final_clock_us, epochs, fingerprint, pools) stay zero/empty when a v1 file is loaded.
+// A parsed dfil-metrics-v2 document.
 struct RunSummary {
-  std::string path;   // file it was loaded from (diagnostics)
   std::string label;
   std::string pcp;
-  int schema_version = 1;
   int nodes = 0;
   bool completed = false;
   double makespan_us = 0.0;
@@ -107,9 +104,9 @@ struct RunSummary {
   struct Node {
     int node = 0;
     double finished_at_us = 0.0;
-    double final_clock_us = 0.0;                      // v2: clock at end of run (incl. tail)
+    double final_clock_us = 0.0;                      // clock at end of run (incl. tail)
     std::map<std::string, double> time_us;            // Figure 10 categories
-    double run_us = 0.0;                              // v2 wait-state ledgers:
+    double run_us = 0.0;                              // wait-state ledgers:
     double serve_us = 0.0;                            //   run + serve + sum(wait_us) ==
     std::map<std::string, double> wait_us;            //   final_clock_us
     std::map<std::string, uint64_t> wait_events;      // blocked-interval counts by kind
@@ -126,10 +123,9 @@ struct RunSummary {
   HistSummary MergedHistogram(const std::string& name) const;
 };
 
-// Parse a metrics document from text / load it from a file. On failure returns false and sets
-// *error; *out is left in an unspecified state.
+// Parses a metrics document. On failure returns false and sets *error; *out is left in an
+// unspecified state.
 bool ParseRun(const std::string& text, RunSummary* out, std::string* error);
-bool LoadRun(const std::string& path, RunSummary* out, std::string* error);
 
 // Reads a whole file; returns false and sets *error when unreadable.
 bool ReadFile(const std::string& path, std::string* out, std::string* error);
@@ -142,9 +138,24 @@ void PrintHotPages(const RunSummary& run, size_t top_n, std::ostream& os);
 
 // ---- Trace analysis ------------------------------------------------------------------------
 
-// Structural validity of a Chrome trace-event JSON document (bare array or {"traceEvents": [...]}):
-// every track's B/E events balance with non-decreasing timestamps, and every flow-start id is
-// eventually finished. Errors are capped at a few dozen lines; `ok` reflects the full scan.
+// One Chrome trace event, reduced to the fields the analyses read. A trace document (a bare event
+// array, what WriteChromeTrace emits, or the {"traceEvents": [...]} wrapper) is parsed once into a
+// flat list of these, one per array element; CheckChromeTrace, ExtractFlows and
+// BuildCriticalPath all read that list.
+struct TraceEvent {
+  char ph = 0;         // phase; 0 when missing or not a one-character string
+  int64_t pid = -1;    // node
+  int64_t tid = -1;    // thread track
+  double ts = -1.0;    // microseconds
+  std::string name;
+  uint64_t id = 0;     // flow id ('s' / 't' / 'f'); 0 = none
+};
+// False + *error when `text` is not JSON or holds no trace event array.
+bool ParseTrace(const std::string& text, std::vector<TraceEvent>* events, std::string* error);
+
+// Structural validity of a parsed trace: every track's B/E events balance with non-decreasing
+// timestamps, and every flow-start id is eventually finished. Errors are capped at a few dozen
+// lines; `ok` reflects the full scan.
 struct TraceCheck {
   bool ok = false;
   std::vector<std::string> errors;
@@ -154,7 +165,7 @@ struct TraceCheck {
   size_t flow_ends = 0;
   size_t complete_flows = 0;  // flow ids with both an 's' and an 'f'
 };
-TraceCheck CheckChromeTrace(const std::string& text);
+TraceCheck CheckChromeTrace(const std::vector<TraceEvent>& events);
 
 // One reconstructed cross-node flow arc (fault begin on the faulting node through serve/chase
 // steps to the install): the trace-level view of a single remote page fault.
@@ -171,7 +182,7 @@ struct FlowArc {
 };
 
 // All complete arcs (those with both 's' and 'f'), unsorted.
-std::vector<FlowArc> ExtractFlows(const std::string& text);
+std::vector<FlowArc> ExtractFlows(const std::vector<TraceEvent>& events);
 // The top_n longest arcs — the fault critical paths that gate the run.
 void PrintCriticalPaths(std::vector<FlowArc> arcs, size_t top_n, std::ostream& os);
 
@@ -214,7 +225,7 @@ struct CriticalPath {
   uint64_t rebalance_events = 0;      // "rebalance ..." instants seen anywhere on the trace
   std::vector<PathSegment> segments;  // time order, from ts 0 to completion_us
 };
-CriticalPath BuildCriticalPath(const std::string& trace_text);
+CriticalPath BuildCriticalPath(const std::vector<TraceEvent>& events);
 
 // Blame view: path segments aggregated by cause — "page <p>", "barrier e<k>", "compute n<i>" —
 // ranked by total critical-path residency, largest first.
@@ -275,12 +286,26 @@ void PrintFlight(const FlightDump& dump, std::ostream& os);
 //    "runs": {"<label>": {"<counter>": <expected>, ...}, ...}}
 // Every baseline run must be matched by a loaded metrics file of the same label, and every listed
 // cluster counter must be within `tolerance` relative drift of its expectation.
+//
+// A failed comparison of the counter gate: `counter` of the run labelled `label`, or, with `run`
+// null, a baseline label that no supplied metrics file carries.
+struct GateDrift {
+  std::string label;
+  const RunSummary* run = nullptr;  // points into the `runs` CheckGate was given
+  std::string counter;
+};
 struct GateResult {
   bool ok = true;
   std::vector<std::string> lines;  // one human-readable verdict per comparison
+  std::vector<GateDrift> drifts;   // CheckGate: the failed comparisons, in verdict order
 };
+// False `ok` with *error set = the baseline itself is unreadable.
 GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
                      std::string* error);
+// Where the counter gate's drift lives: for every failed comparison, the per-node split, the
+// hottest pages for dsm.* counters, and the top epochs when the per-epoch series carries the
+// counter. Prints nothing for a passing gate.
+void PrintGateDrift(const GateResult& gate, size_t top_n, std::ostream& os);
 
 // critpath CI gate. Baseline format (dfil-critpath-gate-v1):
 //   {"schema": "dfil-critpath-gate-v1", "tolerance_pp": 10.0,
@@ -290,12 +315,12 @@ GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSumm
 GateResult CheckCritpathGate(const std::string& baseline_text, const CriticalPath& path,
                              std::string* error);
 
-// ---- Run diffing (tools/dfil_diff) ---------------------------------------------------------
+// ---- Run diffing (dfil_report diff) --------------------------------------------------------
 
 // Fingerprint comparability verdict for an A/B pair. Hard mismatches (different app, node count,
 // or page size) make the runs structurally incomparable — diffing them answers no question;
-// dfil_diff refuses unless --force. Config-digest differences with matching shape are the normal
-// deliberate-A/B case; `config_notes` lists exactly which provenance knobs moved.
+// `dfil_report diff` refuses unless --force. Config-digest differences with matching shape are
+// the normal deliberate-A/B case; `config_notes` lists exactly which provenance knobs moved.
 struct FingerprintCheck {
   bool compatible = true;        // no hard mismatch
   bool identical_config = false; // equal non-empty config digests: same schedule-affecting config
@@ -336,20 +361,13 @@ void PrintRunDiff(const RunDiff& diff, const RunSummary& a, const RunSummary& b,
 std::vector<Delta> DiffBlame(const CriticalPath& a, const CriticalPath& b);
 void PrintBlameDiff(const std::vector<Delta>& deltas, size_t top_n, std::ostream& os);
 
-// Gate-explain (dfil_diff --gate): runs CheckGate, and for every failing counter prints where
-// the drift lives in the supplied runs — per-node breakdown, the hottest pages for dsm.*
-// counters, and the epochs contributing most when the per-epoch series carries the counter.
-// Returns the underlying GateResult; *error as in CheckGate.
-GateResult ExplainGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
-                       size_t top_n, std::ostream& os, std::string* error);
-
 // ---- Result history (bench/HISTORY.jsonl) --------------------------------------------------
 
-// One-line JSON summaries of result artifacts, appended by `dfil_diff --history`. METRICS files
+// One-line JSON summaries of result artifacts, appended by `dfil_report history`. METRICS files
 // yield {"kind": "metrics", "label", "app", "config", "git", "seed", "nodes", "pcp",
 // "makespan_us", "counters": {<the Figure 9 counters that are non-zero>}}; BENCH files yield
 // {"kind": "bench", "bench", <the report's scalar fields>}. Lines carry no wall-clock timestamp
-// on purpose — identical results produce identical lines, so re-running --history is idempotent
+// on purpose — identical results produce identical lines, so re-running `history` is idempotent
 // (exact-duplicate lines are skipped on append). Host-time A/B records of simspeed runs are
 // appended by hand, one per workload: {"kind": "host", "workload", "metric": "wall_s", "seed",
 // "seconds", "parent" (the commit measured against; the change is the commit adding the line),
@@ -358,7 +376,8 @@ GateResult ExplainGate(const std::string& baseline_text, const std::vector<RunSu
 std::string HistoryLine(const RunSummary& run);
 bool BenchHistoryLine(const std::string& bench_json_text, std::string* line, std::string* error);
 // Appends each line not already present verbatim in `path` (file created when absent);
-// *appended = how many were new. False + *error on I/O failure.
+// *appended = how many were new. False + *error on I/O failure, or when `path` holds a line that
+// is not a history record (the file is then left untouched).
 bool AppendHistory(const std::string& path, const std::vector<std::string>& lines,
                    size_t* appended, std::string* error);
 
