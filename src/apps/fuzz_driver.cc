@@ -194,7 +194,6 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
   }
   cfg.barrier = rng.NextBernoulli(0.5) ? core::ClusterConfig::BarrierKind::kTournamentBroadcast
                                        : core::ClusterConfig::BarrierKind::kCentral;
-  cfg.reliable_broadcast = true;  // a lost result broadcast would hang the barrier under loss
   cfg.packet.retransmit_timeout = Milliseconds(10.0);
   cfg.packet.retransmit_timeout_max = Milliseconds(40.0);
   cfg.max_virtual_time = Seconds(120.0);

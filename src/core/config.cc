@@ -44,20 +44,6 @@ class DigestWriter {
   uint64_t hash_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
 };
 
-// True when the plan can make a raw broadcast frame vanish (drop, burst loss, or a rule with a
-// nonzero drop probability): the done broadcast then needs per-node reliable delivery.
-bool PlanCanDropFrames(const sim::FaultPlan& plan) {
-  if (plan.loss_rate > 0.0 || plan.burst.enabled()) {
-    return true;
-  }
-  for (const sim::FaultRule& rule : plan.rules) {
-    if (rule.drop > 0.0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool InUnitInterval(double v) { return v >= 0.0 && v <= 1.0; }
 
 }  // namespace
@@ -77,7 +63,6 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("seed", seed);
   w.Field("page_shift", page_shift);
   w.Field("wake_at_front", wake_at_front);
-  w.Field("reliable_broadcast", reliable_broadcast);
   w.Field("barrier", static_cast<int>(barrier));
   w.Field("max_virtual_time", max_virtual_time);
 
@@ -194,10 +179,6 @@ std::vector<std::string> ClusterConfig::Validate() const {
   if (!InUnitInterval(plan.loss_rate)) {
     reject("fault plan loss_rate must be a probability in [0, 1] (got " +
            std::to_string(plan.loss_rate) + ")");
-  }
-  if (PlanCanDropFrames(plan) && !reliable_broadcast) {
-    reject("reliable_broadcast is required when the fault plan can drop frames: a lost done "
-           "broadcast hangs every barrier");
   }
 
   if (balancer.enabled) {

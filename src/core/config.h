@@ -44,7 +44,8 @@ struct ClusterConfig {
   // Adversarial fault injection (drops, duplicates, delays, burst loss, node stalls) — the
   // single source of truth for network misbehaviour. The plan's seed defaults to a value derived
   // from this config's seed when left at 0, so (config, seed) alone replays a run. Read it
-  // through EffectiveFaultPlan().
+  // through EffectiveFaultPlan(). A plan that can drop frames also switches the barrier done and
+  // fork/join termination from one raw broadcast to a reliable request per node.
   sim::FaultPlan fault_plan;
 
   // When set, every DsmNode attaches to this oracle and the barrier champion sweeps it at each
@@ -71,10 +72,6 @@ struct ClusterConfig {
   // Epoch-driven load balancing of iterative filaments (DESIGN.md §13). Off by default;
   // disabled runs are byte- and schedule-identical to builds without the feature.
   LoadBalancerConfig balancer;
-
-  // Reductions: disseminate via per-node reliable requests instead of one raw broadcast frame.
-  // Required when the fault plan can drop frames (a lost broadcast would hang the barrier).
-  bool reliable_broadcast = false;
 
   // Barrier/reduction algorithm (the paper's future-work item "experiments with different types
   // of barriers"). Tournament+broadcast is the paper's choice (O(p) messages, O(log p) latency).

@@ -58,18 +58,11 @@ struct Pool {
   int id;
   std::vector<Filament> filaments;
 
-  // Pattern-recognition cache: alternating strips and single filaments covering `filaments` in
-  // order. Rebuilt lazily when `patterns_valid` is false (i.e., after new filaments are added).
+  // Pattern-recognition cache: strips covering `filaments` in order (a filament no run extends
+  // is a strip of count 1). Rebuilt lazily when `patterns_valid` is false (i.e., after new
+  // filaments are added).
   std::vector<Strip> strips;
-  std::vector<Filament> singles;  // filaments not covered by any strip
   bool patterns_valid = false;
-
-  // Set while a server thread is executing (or suspended inside) this pool during a sweep.
-  bool running = false;
-  // True once every filament of this pool has executed in the current sweep.
-  bool completed = false;
-  // True if any filament of this pool faulted during the current sweep (frontloading input).
-  bool faulted_this_sweep = false;
 
   // Strip-aware prefetch hints (DESIGN.md §6): the pages this pool's filaments faulted on in
   // previous runs, with the refault period each page exhibited. Iterative programs commonly

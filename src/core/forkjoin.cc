@@ -149,14 +149,7 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
     result = root(rt_->env(), args);
     // Root join complete: every descendant filament has finished, everywhere.
     terminated_ = true;
-    if (rt_->config().reliable_broadcast) {
-      for (NodeId n = 1; n < rt_->config().nodes; ++n) {
-        rt_->packet().SendRequest(n, net::Service::kTerminate, {}, nullptr,
-                                  TimeCategory::kSyncOverhead);
-      }
-    } else if (rt_->config().nodes > 1) {
-      rt_->packet().BroadcastRaw(net::Service::kTerminate, {}, TimeCategory::kSyncOverhead);
-    }
+    rt_->SendToAllOthers(net::Service::kTerminate, {});
     WakeAllIdle();
   } else {
     // Non-root mains serve the queue as ordinary workers until termination.
@@ -169,11 +162,7 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
 
   // Wait for any helper workers this node spawned to wind down.
   while (active_workers_ > 0) {
-    DFIL_CHECK(winddown_waiter_ == nullptr);
-    winddown_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kJoin);
-    rt_->BlockCurrent();
+    rt_->ParkIn(winddown_waiter_, WaitKind::kJoin);
   }
   steal_timer_.Cancel();
   phase_active_ = false;
@@ -254,7 +243,6 @@ FjResult FjEngine::Join(FjHandle& handle) {
     }
   }
   while (!cell->done) {
-    DFIL_CHECK(cell->waiter == nullptr);
     // While this thread waits, another server thread must keep the local queue moving. Spawning
     // one charges virtual time and may yield — the result can arrive during that yield, before a
     // waiter is registered — so re-check before committing to block.
@@ -262,10 +250,7 @@ FjResult FjEngine::Join(FjHandle& handle) {
     if (cell->done) {
       break;
     }
-    cell->waiter = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kJoin);
-    rt_->BlockCurrent();
+    rt_->ParkIn(cell->waiter, WaitKind::kJoin);
   }
   const FjResult result = cell->result;
   delete cell;
@@ -304,14 +289,11 @@ void FjEngine::WorkerLoop(bool is_main) {
       return;
     }
     // Idle: wait for shipped work, a steal retry tick, or termination.
-    threads::ServerThread* self = rt_->CurrentThread();
-    idle_.push_back(self);
+    idle_.push_back(rt_->CurrentThread());
     if (CanStealNow()) {
       ArmStealRetry();
     }
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kJoin);
-    rt_->BlockCurrent();
+    rt_->Park(WaitKind::kJoin);
   }
 }
 

@@ -54,9 +54,7 @@ class FjEngine {
   void OnWorkerBlocked();
 
   // Introspection for tests.
-  size_t queue_depth() const { return queue_.size(); }
   const std::vector<NodeId>& tree_children() const { return tree_children_; }
-  bool phase_active() const { return phase_active_; }
 
  private:
   struct Task {

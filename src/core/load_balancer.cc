@@ -99,7 +99,6 @@ std::optional<RebalancePlan> LoadBalancer::AtSyncPoint(uint64_t epoch,
   const auto cap_ppm = static_cast<int64_t>(config_.balance_move_fraction * 1'000'000.0);
   const auto fraction_ppm =
       static_cast<uint32_t>(std::clamp<int64_t>(half_gap_ppm, 1, std::max<int64_t>(cap_ppm, 1)));
-  ++plans_emitted_;
   last_src_ = slow;
   last_dst_ = dst;
   return RebalancePlan{epoch, slow, dst, fraction_ppm};

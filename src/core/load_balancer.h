@@ -75,8 +75,6 @@ class LoadBalancer {
   std::optional<RebalancePlan> AtSyncPoint(uint64_t epoch,
                                            const std::vector<LoadSample>& samples);
 
-  int plans_emitted() const { return plans_emitted_; }
-
  private:
   LoadBalancerConfig config_;
   int nodes_;
@@ -85,7 +83,6 @@ class LoadBalancer {
   SimTime prev_max_arrival_ = 0;  // previous epoch's release anchor (spans epochs)
   int last_src_ = kNoNode;  // previous plan's endpoints (anti-flap reversal guard)
   int last_dst_ = kNoNode;
-  int plans_emitted_ = 0;
 };
 
 }  // namespace dfil::core

@@ -29,8 +29,9 @@
 //           "blocked_us": ..., "serve_us": 0, "faults": N,  //   row pool=-1 is the residual,
 //           "filaments_run": N, "migrated_in": N}, ...],    //   so sum(run+serve) == run+serve
 //        "epochs": [{"epoch": 1, "barrier_wait_us": ..., "faults": ..., ...}, ...],
-//        "counters": {"dsm.read_faults": ..., "net.sent.page_request": ..., ...},
-//        "histograms": {"dsm.fault_wait_us": {...}, ...},
+//        "metrics": {                                       // the node's registry
+//          "counters": {"dsm.read_faults": ..., "net.sent.page_request": ..., ...},
+//          "histograms": {"dsm.fault_wait_us": {...}, ...}},
 //        "page_heat": [[page, faults], ...]},                // non-zero entries only
 //       ...]
 //   }

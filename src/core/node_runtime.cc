@@ -17,15 +17,8 @@ namespace {
 // or a spawn loop.
 constexpr size_t kMaxServerThreads = 128;
 
-// The node a non-root reports its reduce-up to (kNoNode: none). In the tournament, node r loses
-// in the round of its lowest set bit, to r minus that bit; the central barrier reports to node 0;
-// dissemination has no fixed parent. The sync-batch diff protocol gates its merge to this node.
-NodeId BarrierParent(ClusterConfig::BarrierKind kind, NodeId id) {
-  if (id == 0 || kind == ClusterConfig::BarrierKind::kDissemination) {
-    return kNoNode;
-  }
-  return kind == ClusterConfig::BarrierKind::kCentral ? 0 : id - (id & -id);
-}
+// The round of a barrier's done value in the reduce inbox (reduce-up rounds are >= 0).
+constexpr int kDoneRound = -1;
 
 }  // namespace
 
@@ -34,16 +27,17 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
     : id_(id),
       config_(config),
       machine_(machine),
-      barrier_parent_(BarrierParent(config.barrier, id)),
+      barrier_(BuildBarrierTree(config.barrier, id, config.nodes)),
       elide_reduce_acks_(config.coalesce.enabled &&
                          config.barrier != ClusterConfig::BarrierKind::kDissemination),
+      broadcast_reliably_(config.EffectiveFaultPlan().CanDropFrames()),
       threads_(threads::DefaultContextBackend()),
       env_(this),
       tracer_(id, this) {
   packet_ =
       std::make_unique<net::PacketEndpoint>(machine_, id_, config_.packet, this, config_.coalesce);
   dsm_ = std::make_unique<dsm::DsmNode>(id_, layout, packet_.get(), &machine_->costs(),
-                                        config_.dsm, this, barrier_parent_);
+                                        config_.dsm, this, barrier_.parent);
   if (config_.coherence_oracle != nullptr) {
     dsm_->AttachOracle(config_.coherence_oracle);
   }
@@ -167,15 +161,18 @@ void NodeRuntime::BlockCurrent() {
   threads_.SwitchToHost();
 }
 
-// Page-arrival wake: placement follows the configured policy (paper: front = fork/join
-// anti-thrashing, tail = iterative frontloading). All other wake paths use WakeAtTail — FIFO —
-// or the ready queue degenerates into a LIFO that can starve resumed workers indefinitely.
-void NodeRuntime::Wake(threads::ServerThread* t) {
-  if (config_.wake_at_front) {
-    WakeAtFront(t);
-  } else {
-    WakeAtTail(t);
-  }
+void NodeRuntime::Park(WaitKind kind, uint64_t detail) {
+  threads::ServerThread* self = threads_.current();
+  DFIL_CHECK(self != nullptr);
+  self->set_state(threads::ThreadState::kBlocked);
+  self->set_block_reason(kind, detail);
+  BlockCurrent();
+}
+
+void NodeRuntime::ParkIn(threads::ServerThread*& slot, WaitKind kind, uint64_t detail) {
+  DFIL_CHECK(slot == nullptr) << "two waiters on one wait slot";
+  slot = threads_.current();
+  Park(kind, detail);
 }
 
 void NodeRuntime::BeforePageBlock(PageId page) {
@@ -191,7 +188,17 @@ void NodeRuntime::OnFetchesDrained() {
   WakeWaiter(drain_waiter_);
 }
 
-void NodeRuntime::AccountWake(threads::ServerThread* t) {
+// Page-arrival wakes (Wake) follow the configured policy (paper: front = fork/join
+// anti-thrashing, tail = iterative frontloading). All other wake paths use WakeAtTail — FIFO —
+// or the ready queue degenerates into a LIFO that can starve resumed workers indefinitely.
+void NodeRuntime::WakeAt(threads::ServerThread* t, bool front) {
+  DFIL_CHECK(t->state() == threads::ThreadState::kBlocked);
+  for (size_t i = 0; i < blocked_.size(); ++i) {
+    if (blocked_[i] == t) {
+      blocked_.erase(blocked_.begin() + static_cast<ptrdiff_t>(i));
+      break;
+    }
+  }
   if (pending_gap_ > 0) {
     ledger_.Gap(t->block_kind(), pending_gap_);
     pending_gap_ = 0;
@@ -206,32 +213,12 @@ void NodeRuntime::AccountWake(threads::ServerThread* t) {
     }
     t->set_blocked_since(-1);
   }
-}
-
-void NodeRuntime::WakeAtFront(threads::ServerThread* t) {
-  DFIL_CHECK(t->state() == threads::ThreadState::kBlocked);
-  for (size_t i = 0; i < blocked_.size(); ++i) {
-    if (blocked_[i] == t) {
-      blocked_.erase(blocked_.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  AccountWake(t);
   t->set_state(threads::ThreadState::kReady);
-  ready_.PushFront(t);
-}
-
-void NodeRuntime::WakeAtTail(threads::ServerThread* t) {
-  DFIL_CHECK(t->state() == threads::ThreadState::kBlocked);
-  for (size_t i = 0; i < blocked_.size(); ++i) {
-    if (blocked_[i] == t) {
-      blocked_.erase(blocked_.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
+  if (front) {
+    ready_.PushFront(t);
+  } else {
+    ready_.PushBack(t);
   }
-  AccountWake(t);
-  t->set_state(threads::ThreadState::kReady);
-  ready_.PushBack(t);
 }
 
 void NodeRuntime::WakeWaiter(threads::ServerThread*& slot) {
@@ -270,9 +257,7 @@ net::Payload NodeRuntime::CallService(NodeId dst, net::Service service, net::Pay
       },
       charge_as);
   while (!state.done) {
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kCall, static_cast<uint64_t>(service));
-    BlockCurrent();
+    Park(WaitKind::kCall, static_cast<uint64_t>(service));
   }
   return std::move(state.reply);
 }
@@ -292,6 +277,41 @@ std::string NodeRuntime::DescribeBlocked() const {
 
 // --- Reductions ---------------------------------------------------------------------------------
 
+NodeRuntime::BarrierTree NodeRuntime::BuildBarrierTree(ClusterConfig::BarrierKind kind, NodeId id,
+                                                       int nodes) {
+  BarrierTree tree;
+  switch (kind) {
+    case ClusterConfig::BarrierKind::kTournamentBroadcast:
+      // Node r wins round k against r + 2^k for every k below its lowest set bit, then loses in
+      // the round of that bit, to r minus it. Node 0 wins every round.
+      for (int k = 0; (1 << k) < nodes; ++k) {
+        const int bit = 1 << k;
+        if ((id & bit) != 0) {
+          tree.parent = id - bit;
+          tree.up_round = k;
+          break;
+        }
+        if (id + bit < nodes) {
+          tree.children.emplace_back(id + bit, k);
+        }
+      }
+      break;
+    case ClusterConfig::BarrierKind::kCentral:
+      // Everyone reports to node 0 in round 0.
+      if (id != 0) {
+        tree.parent = 0;
+      } else {
+        for (NodeId n = 1; n < nodes; ++n) {
+          tree.children.emplace_back(n, 0);
+        }
+      }
+      break;
+    case ClusterConfig::BarrierKind::kDissemination:
+      break;
+  }
+  return tree;
+}
+
 void NodeRuntime::RegisterReduceServices() {
   packet_->RegisterService(
       net::Service::kReduceUp,
@@ -299,14 +319,21 @@ void NodeRuntime::RegisterReduceServices() {
         const auto epoch = body.Get<uint64_t>();
         const auto round = body.Get<int32_t>();
         const auto value = body.Get<double>();
-        std::vector<LoadSample> samples;
+        // The sender's gated diff merge travels unacked in the same datagram (or an earlier one).
+        // Defer the contribution until that merge has been applied here, so the champion's
+        // quiescent sweep still sees every merge even when injected reordering or duplication
+        // splits the pair.
+        const uint64_t merge_epoch =
+            body.remaining() >= sizeof(uint64_t) ? body.Get<uint64_t>() : 0;
+        if (merge_epoch > dsm_->DiffAppliedEpoch(src)) {
+          return std::nullopt;
+        }
+        if (last_done_epoch_ >= epoch) {
+          // A retransmission of a contribution this barrier already combined: a plain ack.
+          return net::Payload{};
+        }
         if (config_.balancer.enabled) {
-          // Balancer wire format (config-uniform across the cluster, so the balancer-off format
-          // stays byte-identical): the merge-epoch word is always present (0 = none), followed by
-          // the sender's subtree of load samples.
-          const auto merge_epoch = body.Get<uint64_t>();
           const auto nsamples = body.Get<uint32_t>();
-          samples.reserve(nsamples);
           for (uint32_t i = 0; i < nsamples; ++i) {
             LoadSample s;
             s.node = body.Get<int32_t>();
@@ -314,29 +341,8 @@ void NodeRuntime::RegisterReduceServices() {
             s.run = body.Get<SimTime>();
             s.wait = body.Get<SimTime>();
             s.serve = body.Get<SimTime>();
-            samples.push_back(s);
-          }
-          if (merge_epoch > dsm_->DiffAppliedEpoch(src)) {
-            return std::nullopt;  // defer until the piggybacked gated merge applied (see below)
-          }
-          for (const LoadSample& s : samples) {
             balance_samples_[epoch][s.node] = s;  // idempotent under retransmitted ups
           }
-        } else if (body.remaining() >= sizeof(uint64_t)) {
-          // Piggybacked gated-merge epoch: the sender's diff flush travels unacked in the same
-          // datagram (or an earlier one). Defer the contribution until that merge has been
-          // applied here, so the champion's quiescent sweep still sees every merge even when
-          // injected reordering or duplication splits the pair.
-          const auto merge_epoch = body.Get<uint64_t>();
-          if (merge_epoch > dsm_->DiffAppliedEpoch(src)) {
-            return std::nullopt;
-          }
-        }
-        if (elide_reduce_acks_ && last_done_epoch_ >= epoch) {
-          // A retransmission of a contribution this barrier already consumed (its elided ack was
-          // lost on the sender): answer with the done value directly, standing in for the
-          // broadcast the sender evidently also missed.
-          return DonePayload(epoch, last_done_value_);
         }
         reduce_inbox_[{epoch, round, src}] = value;
         WakeWaiter(reduce_waiter_);
@@ -366,24 +372,23 @@ void NodeRuntime::OnReduceDone(net::WireReader body) {
   if (config_.balancer.enabled) {
     ParsePlan(body);
   }
-  reduce_done_[epoch] = value;
-  // Only a NEW done may consume the unacked sync-point requests. Under loss a done arrives
-  // again — a duplicated raw broadcast, or the reliable done request retransmitted because our
-  // reply to it was lost re-runs this handler — and by then this node may already be a barrier
-  // ahead, with the next epoch's reduce-up and gated merge in flight. A stale done proves
-  // nothing about those; canceling them here would stop the very retransmissions that recover
-  // their loss (the parent defers our up until the merge lands, so the run would wedge at the
-  // retransmission limit).
-  if (epoch > last_done_epoch_) {
-    last_done_epoch_ = epoch;
-    last_done_value_ = value;
-    if (pending_up_req_ != 0) {
-      // The done proves our contribution was combined; stop retransmitting the (unacked) up.
-      packet_->CancelRequest(pending_up_req_);
-      pending_up_req_ = 0;
-    }
-    dsm_->OnBarrierDone();
+  // Only a NEW done counts. Under loss a done arrives again — a duplicated raw broadcast, or the
+  // reliable done request retransmitted because our reply to it was lost — and by then this node
+  // may already be a barrier ahead, with the next epoch's reduce-up and gated merge in flight. A
+  // stale done proves nothing about those; canceling them here would stop the very
+  // retransmissions that recover their loss (the parent defers our up until the merge lands, so
+  // the run would wedge at the retransmission limit).
+  if (epoch <= last_done_epoch_) {
+    return;
   }
+  last_done_epoch_ = epoch;
+  reduce_inbox_[{epoch, kDoneRound, kNoNode}] = value;
+  if (pending_up_req_ != 0) {
+    // The done proves our contribution was combined; stop retransmitting the (unacked) up.
+    packet_->CancelRequest(pending_up_req_);
+    pending_up_req_ = 0;
+  }
+  dsm_->OnBarrierDone();
   WakeWaiter(reduce_waiter_);
 }
 
@@ -406,8 +411,7 @@ double NodeRuntime::Combine(double a, double b, ReduceOp op) {
   return 0.0;
 }
 
-double NodeRuntime::WaitReduceUp(uint64_t epoch, int round, NodeId from) {
-  threads::ServerThread* self = threads_.current();
+double NodeRuntime::TakeReduceValue(uint64_t epoch, int round, NodeId from) {
   for (;;) {
     auto it = reduce_inbox_.find({epoch, round, from});
     if (it != reduce_inbox_.end()) {
@@ -415,39 +419,13 @@ double NodeRuntime::WaitReduceUp(uint64_t epoch, int round, NodeId from) {
       reduce_inbox_.erase(it);
       return v;
     }
-    DFIL_CHECK(reduce_waiter_ == nullptr);
-    reduce_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kBarrier, epoch);
-    BlockCurrent();
-  }
-}
-
-double NodeRuntime::WaitReduceDone(uint64_t epoch) {
-  threads::ServerThread* self = threads_.current();
-  for (;;) {
-    auto it = reduce_done_.find(epoch);
-    if (it != reduce_done_.end()) {
-      const double v = it->second;
-      reduce_done_.erase(it);
-      return v;
-    }
-    DFIL_CHECK(reduce_waiter_ == nullptr);
-    reduce_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kBarrier, epoch);
-    BlockCurrent();
+    ParkIn(reduce_waiter_, WaitKind::kBarrier, epoch);
   }
 }
 
 void NodeRuntime::WaitForFetchDrain() {
-  threads::ServerThread* self = threads_.current();
   while (dsm_->pending_fetches() > 0) {
-    DFIL_CHECK(drain_waiter_ == nullptr);
-    drain_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kFetchDrain);
-    BlockCurrent();
+    ParkIn(drain_waiter_, WaitKind::kFetchDrain);
   }
 }
 
@@ -456,11 +434,17 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
   w.Put(epoch);
   w.Put(static_cast<int32_t>(round));
   w.Put(value);
+  // The merge-epoch word: the epoch of this node's still-unacked gated diff merge, which rides to
+  // the same parent in the same datagram; the receiver defers this contribution until the merge
+  // applies. 0 = none (an applied-epoch counter is never outrun by 0, so 0 never defers). The
+  // balancer always writes it, because its samples follow.
+  const uint64_t merge_epoch = dsm_->PendingGatedMergeEpoch();
+  if (merge_epoch != 0 || config_.balancer.enabled) {
+    w.Put(merge_epoch);
+  }
   if (config_.balancer.enabled) {
-    // Balancer wire format: merge-epoch word always present (0 = none; an applied-epoch counter
-    // can never be outrun by 0, so 0 never defers), then this sender's accumulated samples — its
-    // own plus every subtree sample received in earlier tournament rounds, sorted by node id.
-    w.Put(dsm_->PendingGatedMergeEpoch());
+    // This sender's accumulated samples — its own plus every subtree sample received in earlier
+    // tournament rounds, sorted by node id.
     const auto& samples = balance_samples_[epoch];
     w.Put(static_cast<uint32_t>(samples.size()));
     for (const auto& [node, s] : samples) {
@@ -470,36 +454,25 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
       w.Put(s.wait);
       w.Put(s.serve);
     }
-  } else if (const uint64_t merge_epoch = dsm_->PendingGatedMergeEpoch(); merge_epoch != 0) {
-    // Piggyback the epoch of the still-unacked gated diff merge (it rides to the same parent,
-    // held in the same datagram): the receiver defers this contribution until the merge applies.
-    w.Put(merge_epoch);
   }
   const uint64_t req = packet_->SendRequest(
-      dst, net::Service::kReduceUp, w.Take(),
-      [this](net::Payload reply) {
-        pending_up_req_ = 0;
-        // An empty reply is a plain ack (elision off, or the parent had not seen done yet); a
-        // non-empty one is the parent answering a retransmitted up with the barrier result. It
-        // is always a new done: a done that arrived first canceled this request.
-        if (!reply.empty()) {
-          OnReduceDone(net::WireReader(reply));
-        }
-      },
+      dst, net::Service::kReduceUp, w.Take(), [this](net::Payload) { pending_up_req_ = 0; },
       TimeCategory::kSyncOverhead);
   if (elide_reduce_acks_) {
     pending_up_req_ = req;  // canceled when the done broadcast arrives
   }
 }
 
-net::Payload NodeRuntime::DonePayload(uint64_t epoch, double value) const {
-  net::WireWriter w;
-  w.Put(epoch);
-  w.Put(value);
-  if (config_.balancer.enabled) {
-    AppendPlan(w, epoch);
+void NodeRuntime::SendToAllOthers(net::Service service, net::Payload body) {
+  if (broadcast_reliably_) {
+    for (NodeId n = 0; n < config_.nodes; ++n) {
+      if (n != id_) {
+        packet_->SendRequest(n, service, body, nullptr, TimeCategory::kSyncOverhead);
+      }
+    }
+  } else if (config_.nodes > 1) {
+    packet_->BroadcastRaw(service, std::move(body), TimeCategory::kSyncOverhead);
   }
-  return w.Take();
 }
 
 void NodeRuntime::ReleaseBarrier(uint64_t epoch, double accum) {
@@ -511,38 +484,30 @@ void NodeRuntime::ReleaseBarrier(uint64_t epoch, double accum) {
     config_.coherence_oracle->AtQuiescentPoint();
   }
   MaybeEmitPlan(epoch);
-  net::Payload body = DonePayload(epoch, accum);
-  if (config_.reliable_broadcast) {
-    for (NodeId n = 1; n < config_.nodes; ++n) {
-      packet_->SendRequest(n, net::Service::kReduceDone, body, nullptr,
-                           TimeCategory::kSyncOverhead);
-    }
-  } else {
-    packet_->BroadcastRaw(net::Service::kReduceDone, std::move(body), TimeCategory::kSyncOverhead);
+  net::WireWriter w;
+  w.Put(epoch);
+  w.Put(accum);
+  if (config_.balancer.enabled) {
+    AppendPlan(w, epoch);
   }
-  last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result directly
-  last_done_value_ = accum;
+  // Before the sends, whose charges can run handlers: retransmitted ups get a plain ack from here.
+  last_done_epoch_ = epoch;
+  SendToAllOthers(net::Service::kReduceDone, w.Take());
 }
 
-// The paper's barrier (§4.5, [HFM88]): tournament ascent, single broadcast descent. O(p)
-// messages, O(log p) latency.
-double NodeRuntime::ReduceTournament(uint64_t epoch, double value, ReduceOp op) {
-  const int p = config_.nodes;
-  const NodeId r = id_;
+// The paper's barrier (§4.5, [HFM88]) and the central baseline, one walk over barrier_: combine
+// the children's values in tree order, then report up and await the done, or release at the
+// champion. The tournament is O(p) messages and O(log p) latency; the central barrier's master
+// serializes 2(p-1) message handlings.
+double NodeRuntime::ReduceTree(uint64_t epoch, double value, ReduceOp op) {
   double accum = value;
-  for (int k = 0; (1 << k) < p; ++k) {
-    const int bit = 1 << k;
-    if ((r & bit) != 0) {
-      // Tournament loser (bit is r's lowest set bit): report our partial value to the winner,
-      // our barrier parent, and await dissemination.
-      SendReduceValue(barrier_parent_, epoch, k, accum);
-      return WaitReduceDone(epoch);
-    }
-    if (r + bit < p) {
-      accum = Combine(accum, WaitReduceUp(epoch, k, r + bit), op);
-    }
+  for (const auto& [child, round] : barrier_.children) {
+    accum = Combine(accum, TakeReduceValue(epoch, round, child), op);
   }
-  DFIL_CHECK_EQ(r, 0);
+  if (barrier_.parent != kNoNode) {
+    SendReduceValue(barrier_.parent, epoch, barrier_.up_round, accum);
+    return TakeReduceValue(epoch, kDoneRound, kNoNode);
+  }
   ReleaseBarrier(epoch, accum);
   return accum;
 }
@@ -564,24 +529,9 @@ double NodeRuntime::ReduceDissemination(uint64_t epoch, double value, ReduceOp o
     const NodeId to = static_cast<NodeId>((r + dist) % p);
     const NodeId from = static_cast<NodeId>((r - dist + p) % p);
     SendReduceValue(to, epoch, k, accum);
-    accum = Combine(accum, WaitReduceUp(epoch, k, from), op);
+    accum = Combine(accum, TakeReduceValue(epoch, k, from), op);
   }
-  return accum;
-}
-
-// Central barrier: everyone reports to node 0, which combines and broadcasts. The paper's
-// baseline to beat — the master's CPU serializes 2(p-1) message handlings.
-double NodeRuntime::ReduceCentral(uint64_t epoch, double value, ReduceOp op) {
-  const int p = config_.nodes;
-  if (id_ != 0) {
-    SendReduceValue(barrier_parent_, epoch, 0, value);
-    return WaitReduceDone(epoch);
-  }
-  double accum = value;
-  for (NodeId n = 1; n < p; ++n) {
-    accum = Combine(accum, WaitReduceUp(epoch, 0, n), op);
-  }
-  ReleaseBarrier(epoch, accum);
+  last_done_epoch_ = epoch;  // every later up for this epoch is a retransmission
   return accum;
 }
 
@@ -609,18 +559,14 @@ double NodeRuntime::Reduce(double value, ReduceOp op) {
   }
   double result = value;
   if (config_.nodes > 1) {
-    switch (config_.barrier) {
-      case ClusterConfig::BarrierKind::kTournamentBroadcast:
-        result = ReduceTournament(epoch, value, op);
-        break;
-      case ClusterConfig::BarrierKind::kDissemination:
-        result = ReduceDissemination(epoch, value, op);
-        break;
-      case ClusterConfig::BarrierKind::kCentral:
-        result = ReduceCentral(epoch, value, op);
-        break;
-    }
+    result = config_.barrier == ClusterConfig::BarrierKind::kDissemination
+                 ? ReduceDissemination(epoch, value, op)
+                 : ReduceTree(epoch, value, op);
   }
+  // Every contribution to this epoch has been combined: drop the copies that retransmitted ups
+  // re-inserted before this node learned the result.
+  reduce_inbox_.erase(reduce_inbox_.begin(),
+                      reduce_inbox_.lower_bound({epoch + 1, kDoneRound, kNoNode}));
   TraceEnd();
   metrics_.Inc("sync.reductions");
   metrics_.Hist("sync.barrier_wait_us").Record(ToMicroseconds(clock_ - entered));
@@ -630,10 +576,10 @@ double NodeRuntime::Reduce(double value, ReduceOp op) {
   waitstate_.Record(WaitKind::kBarrier, epoch, entered, clock_);
   RecordEpochSnapshot(epoch, entered);
   if (config_.balancer.enabled && config_.nodes > 1) {
-    // Every node saw the plan on the done broadcast (or its done-carrying stand-in), so source
-    // and destination act here, between this epoch's barrier and the next sweep: filaments leave
-    // the source before its next sweep and the destination's sweep blocks until they join — no
-    // iteration runs anywhere without them.
+    // Every node saw the plan on the done broadcast, so source and destination act here, between
+    // this epoch's barrier and the next sweep: filaments leave the source before its next sweep
+    // and the destination's sweep blocks until they join — no iteration runs anywhere without
+    // them.
     ApplyPendingPlan();
     balance_samples_.erase(balance_samples_.begin(), balance_samples_.upper_bound(epoch));
   }
@@ -846,26 +792,12 @@ std::optional<std::vector<std::byte>> NodeRuntime::ChannelTryRecv(NodeId src, ui
   return msg;
 }
 
-void NodeRuntime::WaitAnyChannel() {
-  threads::ServerThread* self = threads_.current();
-  DFIL_CHECK(self != nullptr);
-  DFIL_CHECK(any_channel_waiter_ == nullptr);
-  any_channel_waiter_ = self;
-  self->set_state(threads::ThreadState::kBlocked);
-  self->set_block_reason(WaitKind::kChannel);
-  BlockCurrent();
-}
+void NodeRuntime::WaitAnyChannel() { ParkIn(any_channel_waiter_, WaitKind::kChannel); }
 
 std::vector<std::byte> NodeRuntime::ChannelRecv(NodeId src, uint32_t tag) {
-  threads::ServerThread* self = threads_.current();
-  DFIL_CHECK(self != nullptr);
   Channel& ch = channels_[{src, tag}];
   while (ch.messages.empty()) {
-    DFIL_CHECK(ch.waiter == nullptr) << "two receivers on one channel";
-    ch.waiter = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kChannel);
-    BlockCurrent();
+    ParkIn(ch.waiter, WaitKind::kChannel);
   }
   std::vector<std::byte> msg = std::move(ch.messages.front());
   ch.messages.pop_front();

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
@@ -74,11 +75,17 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   // Suspends the current server thread; the caller has already recorded it on some wait queue and
   // set its state/block reason. Returns when the thread is woken.
   void BlockCurrent() override;
+  // Blocks the current server thread as waiting for `kind` (`detail` names what it waits on in
+  // the wait-state record) until something wakes it. The caller has already recorded it wherever
+  // its waker looks.
+  void Park(WaitKind kind, uint64_t detail = 0);
+  // Park, with the current thread recorded in `slot` (which must be empty) for WakeWaiter.
+  void ParkIn(threads::ServerThread*& slot, WaitKind kind, uint64_t detail = 0);
   // Makes `t` runnable. Placement defaults to the configured wake policy (front = fork/join
   // anti-thrashing; tail = iterative frontloading).
-  void Wake(threads::ServerThread* t) override;
-  void WakeAtFront(threads::ServerThread* t);
-  void WakeAtTail(threads::ServerThread* t);
+  void Wake(threads::ServerThread* t) override { WakeAt(t, config_.wake_at_front); }
+  void WakeAtFront(threads::ServerThread* t) { WakeAt(t, /*front=*/true); }
+  void WakeAtTail(threads::ServerThread* t) { WakeAt(t, /*front=*/false); }
   // Wakes the thread parked in `slot` (at the tail), if any, and clears the slot.
   void WakeWaiter(threads::ServerThread*& slot);
   // Creates a server thread running `body` and enqueues it (charges creation cost).
@@ -99,6 +106,10 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
 
   // --- Reductions (tournament with broadcast dissemination, paper §4.5 / [HFM88]) ---
   double Reduce(double value, ReduceOp op);
+
+  // Sends `body` to every other node: one raw broadcast frame, or a reliable request per node when
+  // the fault plan can drop frames (the barrier done and fork/join termination must arrive).
+  void SendToAllOthers(net::Service service, net::Payload body);
 
   // --- Explicit message channels (raw UDP semantics, for the CG programs) ---
   void ChannelSend(NodeId dst, uint32_t tag, std::span<const std::byte> bytes);
@@ -164,31 +175,39 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   // Charge() helper: returns to the machine so a due event can dispatch; resumes afterwards.
   void YieldForEvent();
 
-  // Wake-time accounting shared by WakeAtFront/WakeAtTail: books the pending scheduler gap under
-  // the woken thread's wait kind and records its blocked interval.
-  void AccountWake(threads::ServerThread* t);
+  // Makes blocked `t` ready at the front or tail of the ready queue: books the pending scheduler
+  // gap under its wait kind and records its blocked interval.
+  void WakeAt(threads::ServerThread* t, bool front);
 
   // Blocks the current thread until there are no outstanding page fetches (paper §3: nodes delay
   // at synchronization points until all outstanding page requests are satisfied).
   void WaitForFetchDrain();
 
-  // Reduction plumbing.
+  // Reduction plumbing. A champion barrier (tournament or central) is a tree rooted at node 0:
+  // each node combines its children's reduce-ups, then reports up to its parent, and the champion
+  // broadcasts the done value. Dissemination has no tree (BarrierTree stays empty).
+  struct BarrierTree {
+    NodeId parent = kNoNode;  // kNoNode: the champion, or dissemination
+    int up_round = 0;         // the round this node's reduce-up reports in
+    // (child, round) pairs, in the order this node waits for them.
+    std::vector<std::pair<NodeId, int>> children;
+  };
+  static BarrierTree BuildBarrierTree(ClusterConfig::BarrierKind kind, NodeId id, int nodes);
   void RegisterReduceServices();
+  // Writes the one reduce-up frame: [epoch, round, value], then the merge-epoch word when a gated
+  // merge is pending or the balancer is on, then the balancer's samples.
   void SendReduceValue(NodeId dst, uint64_t epoch, int round, double value);
-  double WaitReduceUp(uint64_t epoch, int round, NodeId from);
-  double WaitReduceDone(uint64_t epoch);
-  double ReduceTournament(uint64_t epoch, double value, ReduceOp op);
+  // Blocks until the inbox holds (epoch, round, from) and takes it: a reduce-up, or with
+  // kDoneRound the barrier's done value.
+  double TakeReduceValue(uint64_t epoch, int round, NodeId from);
+  double ReduceTree(uint64_t epoch, double value, ReduceOp op);
   double ReduceDissemination(uint64_t epoch, double value, ReduceOp op);
-  double ReduceCentral(uint64_t epoch, double value, ReduceOp op);
   static double Combine(double a, double b, ReduceOp op);
-  // A barrier's done value arrived (broadcast, reliable done request, or done-carrying reply):
-  // record it, consume the sync-point requests it acknowledges, and wake the waiter.
+  // The champion's done broadcast arrived: record a new done, consume the sync-point requests it
+  // acknowledges, and wake the waiter.
   void OnReduceDone(net::WireReader body);
-  // The done value with the balancer's plan trailer: the done broadcast's payload, and the
-  // answer to a retransmitted reduce-up after done.
-  net::Payload DonePayload(uint64_t epoch, double value) const;
-  // Champion end of a tournament or central barrier: oracle sweep, balancer plan, done
-  // dissemination (reliable or one raw broadcast), and the last-done record.
+  // Champion end of a tree barrier: oracle sweep, balancer plan, the done broadcast, and the
+  // last-done record.
   void ReleaseBarrier(uint64_t epoch, double accum);
 
   // Load-balancer plumbing (config_.balancer; every hook is inert while disabled, keeping the
@@ -199,8 +218,8 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   void RecordLoadSample(uint64_t epoch, SimTime entered);
   // Champion only: runs the balancer once all n samples for `epoch` arrived.
   void MaybeEmitPlan(uint64_t epoch);
-  // Appends the plan trailer (u8 has_plan [+ epoch/src/dst]) to a done payload / done-carrying
-  // reply; writes has_plan=0 unless last_plan_ is exactly `epoch`'s plan.
+  // Appends the plan trailer (u8 has_plan [+ epoch/src/dst]) to a done payload; writes
+  // has_plan=0 unless last_plan_ is exactly `epoch`'s plan.
   void AppendPlan(net::WireWriter& w, uint64_t epoch) const;
   // Parses the plan trailer; keeps the newest plan seen (stale dones carry stale plans).
   void ParsePlan(net::WireReader& r);
@@ -211,10 +230,13 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   NodeId id_;
   ClusterConfig config_;
   sim::Machine* machine_;
-  // This node's parent in the reduction tree (kNoNode: root, or dissemination).
-  const NodeId barrier_parent_;
+  // This node's place in the champion barrier's tree; its parent is also where the sync-batch
+  // diff protocol gates its merge.
+  const BarrierTree barrier_;
   // Coalescing on a champion barrier: reduce-up acks are elided; the done broadcast stands in.
   const bool elide_reduce_acks_;
+  // The fault plan can drop frames: SendToAllOthers uses a reliable request per node.
+  const bool broadcast_reliably_;
   SimTime clock_ = 0;
   SimTime pending_gap_ = 0;  // idle time awaiting classification at the next wake
   bool main_done_ = false;
@@ -234,16 +256,17 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
 
   // Reduction state.
   uint64_t reduce_epoch_ = 0;
-  // (epoch, round, sender) -> value received for this reduction step.
+  // (epoch, round, sender) -> value received for this reduction step; a barrier's done value is
+  // keyed (epoch, kDoneRound, kNoNode).
   std::map<std::tuple<uint64_t, int, NodeId>, double> reduce_inbox_;
-  std::map<uint64_t, double> reduce_done_;                   // epoch -> disseminated result
   threads::ServerThread* reduce_waiter_ = nullptr;
   threads::ServerThread* drain_waiter_ = nullptr;
-  // Coalescing sync-batch state: the unacked (elided-ack) reduce-up awaiting the done broadcast,
-  // and the last disseminated result — the answer given to retransmitted ups after done.
+  // Coalescing sync-batch state: the unacked (elided-ack) reduce-up awaiting the done broadcast.
   uint64_t pending_up_req_ = 0;
+  // Newest barrier whose result this node holds (released as champion, seen done, or completed
+  // by dissemination); a reduce-up at or below it is a retransmission of a contribution already
+  // combined.
   uint64_t last_done_epoch_ = 0;
-  double last_done_value_ = 0;
 
   // Channels: (src, tag) -> queued payloads / waiting receiver.
   struct Channel {

@@ -63,8 +63,7 @@ void PoolEngine::BuildPatterns(Pool* pool) {
 
 void PoolEngine::RunSweep() {
   DFIL_CHECK(!sweep_active_);
-  threads::ServerThread* self = rt_->CurrentThread();
-  DFIL_CHECK(self != nullptr) << "RunSweep must run on a server thread";
+  DFIL_CHECK(rt_->CurrentThread() != nullptr) << "RunSweep must run on a server thread";
   WaitForMigrations();
   if (pools_.empty()) {
     return;
@@ -80,17 +79,10 @@ void PoolEngine::RunSweep() {
       order_.push_back(p.get());
     }
   }
-  last_order_ids_.clear();
-  for (Pool* p : order_) {
-    last_order_ids_.push_back(p->id);
-  }
   finish_stack_.clear();
 
   int total_filaments = 0;
   for (Pool* p : order_) {
-    p->running = false;
-    p->completed = false;
-    p->faulted_this_sweep = false;
     total_filaments += static_cast<int>(p->filaments.size());
   }
   next_pool_ = 0;
@@ -104,13 +96,8 @@ void PoolEngine::RunSweep() {
   EnsureRunnerForRemainingPools();
 
   while (pools_remaining_ > 0) {
-    DFIL_CHECK(sweep_waiter_ == nullptr);
-    sweep_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kSweep);
-    rt_->BlockCurrent();
+    rt_->ParkIn(sweep_waiter_, WaitKind::kSweep);
   }
-  sweep_waiter_ = nullptr;
   sweep_active_ = false;
   RepartitionAutoPools();
 }
@@ -184,17 +171,12 @@ void PoolEngine::RepartitionAutoPools() {
 }
 
 void PoolEngine::WaitForMigrations() {
-  threads::ServerThread* self = rt_->CurrentThread();
   while (applied_migrations_ < expected_migrations_) {
     if (arrived_migrations_.empty()) {
       // The rebalance plan arrived on the done broadcast but the filaments themselves are still
       // in flight from the source; sweeping now would run the iteration without them (the source
       // already dropped them), so the main thread waits for the kFilamentMigrate message.
-      DFIL_CHECK(migrate_waiter_ == nullptr);
-      migrate_waiter_ = self;
-      self->set_state(threads::ThreadState::kBlocked);
-      self->set_block_reason(WaitKind::kSweep);
-      rt_->BlockCurrent();
+      rt_->ParkIn(migrate_waiter_, WaitKind::kSweep);
       continue;
     }
     std::vector<Filament> batch = std::move(arrived_migrations_.front());
@@ -253,7 +235,6 @@ PoolEngine::MigrationBatch PoolEngine::ExtractMigration(double fraction) {
     pages.insert(pages.end(), p->write_pages.begin(), p->write_pages.end());
     p->filaments.clear();
     p->strips.clear();
-    p->singles.clear();
     p->patterns_valid = false;
     p->hints.clear();
     p->write_pages.clear();
@@ -312,7 +293,6 @@ void PoolEngine::RunnerLoop() {
       counted_spare = false;
     }
     Pool* pool = order_[next_pool_++];
-    pool->running = true;
     running_pool_[rt_->CurrentThread()] = RunnerPosition{pool, 0};
     rt_->CurrentThread()->set_profile_pool(pool->id);
     rt_->TraceBegin("pool", "pool " + std::to_string(pool->id));
@@ -320,8 +300,6 @@ void PoolEngine::RunnerLoop() {
     rt_->TraceEnd();
     rt_->CurrentThread()->set_profile_pool(-1);
     running_pool_.erase(rt_->CurrentThread());
-    pool->running = false;
-    pool->completed = true;
     finish_stack_.push_back(pool);
     if (--pools_remaining_ == 0 && sweep_waiter_ != nullptr) {
       threads::ServerThread* waiter = sweep_waiter_;
@@ -410,7 +388,6 @@ void PoolEngine::OnThreadBlockedOnPage(PageId page) {
     return;  // not a pool runner (e.g. the main thread faulting during initialization)
   }
   Pool* pool = it->second.pool;
-  pool->faulted_this_sweep = true;
   if (rt_->config().dsm.prefetch_hints) {
     auto hit = std::find_if(pool->hints.begin(), pool->hints.end(),
                             [&](const Pool::HintRecord& h) { return h.page == page; });

@@ -52,9 +52,6 @@ class PoolEngine {
   // Runtime hook: the current server thread is about to suspend on a page fault.
   void OnThreadBlockedOnPage(PageId page);
 
-  // Execution order of the most recent sweep (pool ids), for frontloading tests.
-  const std::vector<int>& last_sweep_order() const { return last_order_ids_; }
-
   // --- Load-balancer hooks (DESIGN.md §13; all inert while the balancer is off) ---
 
   // A rebalance plan named this node as source: extracts whole pools in id order — skipping
@@ -97,7 +94,6 @@ class PoolEngine {
   // Sweep state.
   bool sweep_active_ = false;
   std::vector<Pool*> order_;
-  std::vector<int> last_order_ids_;
   size_t next_pool_ = 0;
   int pools_remaining_ = 0;
   std::vector<Pool*> finish_stack_;  // completion order; reversed, it frontloads the next sweep

@@ -233,7 +233,6 @@ class DsmNode {
   // pages" table.
   const std::vector<uint32_t>& fault_heat() const { return fault_heat_; }
   const DsmStats& stats() const { return stats_; }
-  DsmStats& mutable_stats() { return stats_; }
   const GlobalLayout& layout() const { return *layout_; }
   std::byte* raw_replica(GlobalAddr addr) { return replica_.data() + addr; }
   Pcp pcp() const { return config_.pcp; }

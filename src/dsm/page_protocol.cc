@@ -297,8 +297,8 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
   if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
     tr->Flow(kFlowStep, "dsm", "diff e" + std::to_string(h.epoch), tr->current());
   }
-  // A gated merge's ack is elided: the sender treats the barrier done broadcast (which this node
-  // only sends after applying the merge) as the acknowledgment.
+  // A gated merge's first ack is elided: the sender treats the barrier done broadcast (which this
+  // node only sends after applying the merge) as the acknowledgment. A retransmission is acked.
   if (gated) {
     node_.packet_->ElideCurrentReply();
   }

@@ -134,7 +134,7 @@ constexpr SimTime kAckHold = Milliseconds(2.0);
 // A page/bulk request to a lower-numbered mutual peer — one that requested from us within this
 // window — is held briefly so it can ride on our reply to that peer's next request.
 constexpr SimTime kMutualWindow = Milliseconds(250.0);
-// Retransmission floor for sync-point requests (merges, reduce-ups), whose ack is elided or
+// Retransmission floor for sync-point requests (merges, reduce-ups), whose first ack is elided or
 // queued behind a flush wave: a loss backstop, not an RTT-scale timer (see SendRequest).
 constexpr SimTime kElidedAckTimeout = Milliseconds(1000.0);
 }  // namespace
@@ -314,8 +314,8 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
       (service == Service::kDiffMerge || service == Service::kDiffMergeGated ||
        service == Service::kReduceUp) &&
       out.timeout < kElidedAckTimeout) {
-    // Sync-point traffic: a gated merge's or reduce-up's ack is elided (the barrier done stands
-    // in, arriving an epoch later), and a plain merge's ack queues behind every peer's flush
+    // Sync-point traffic: a gated merge's or reduce-up's first ack is elided (the barrier done
+    // stands in, arriving an epoch later), and a plain merge's ack queues behind every peer's flush
     // wave at the home. Keep these timers as loss backstops — an RTT-scale RTO retransmits
     // spuriously into the very congestion that delayed the ack.
     out.timeout = kElidedAckTimeout;
@@ -567,15 +567,17 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
 
   elide_current_reply_ = false;
   std::optional<Payload> reply = entry.fn(src, WireReader(body));
+  const bool elide = std::exchange(elide_current_reply_, false);
   if (!reply.has_value()) {
-    elide_current_reply_ = false;
     stats_.deferred_requests++;
     return;
   }
+  bool first_serve = true;
   if (entry.idempotent) {
     // No reply buffering for idempotent services: a retransmitted request re-runs the service and
     // the reply is rebuilt from current state. Record which it was (Figure 3a vs 3c).
-    if (served_requests_.insert({src, req_id}).second) {
+    first_serve = served_requests_.insert({src, req_id}).second;
+    if (first_serve) {
       stats_.replies_first_serve++;
       served_fifo_.push_back({src, req_id});
       while (served_fifo_.size() > kServedIdsCap) {
@@ -586,13 +588,13 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
       stats_.replies_rebuilt++;
     }
   }
-  if (elide_current_reply_) {
+  if (elide && first_serve) {
     // The service asked for its (idempotent) reply to be suppressed: a later frame — e.g. the
-    // barrier done broadcast — carries the information instead. The request still counts as
-    // served, so a retransmission rebuilds and the requester's retransmit timer still covers
-    // loss of the standing-in frame.
+    // barrier done broadcast — carries the information instead. Only a first serve is elided. A
+    // retransmission means the requester's timer fired while the standing-in frame is still
+    // legitimately far off (a barrier waiting for slower nodes); eliding it too would let the
+    // requester run into its retransmission limit, so it gets the plain reply.
     DFIL_CHECK(entry.idempotent) << "reply elision is only valid for idempotent services";
-    elide_current_reply_ = false;
     stats_.replies_elided++;
     return;
   }

@@ -162,7 +162,7 @@ class PacketEndpoint {
 
   // Callable from inside a ServiceFn of an *idempotent* service: the reply the service is about
   // to return is not transmitted (a later frame — e.g. the done broadcast — stands in for it).
-  // The service still counts as served, so a retransmission rebuilds normally.
+  // Honoured on the request's first serve only: a retransmission is answered with the reply.
   void ElideCurrentReply();
 
   // Flushes every queued frame (held and batched) to `dst` immediately. No-op when nothing is

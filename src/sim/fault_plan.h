@@ -104,6 +104,20 @@ struct FaultPlan {
     return loss_rate > 0.0 || burst.enabled() || !rules.empty() || !stalls.empty();
   }
 
+  // True when the plan can make a frame vanish (uniform or burst loss, or a rule with a nonzero
+  // drop probability). Raw broadcasts are then unsafe for anything that must arrive.
+  bool CanDropFrames() const {
+    if (loss_rate > 0.0 || burst.enabled()) {
+      return true;
+    }
+    for (const FaultRule& rule : rules) {
+      if (rule.drop > 0.0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   static FaultPlan UniformLoss(double rate, uint64_t seed) {
     FaultPlan plan;
     plan.loss_rate = rate;

@@ -279,6 +279,31 @@ TEST(CoalesceTest, ElidedReplyThenCancelClearsOutstanding) {
   EXPECT_EQ(rig.b->endpoint->stats().replies_sent, 0u);
 }
 
+// Only a first serve is elided. With no superseding signal, the retransmission gets the real
+// reply and completes the request instead of retransmitting up to the limit.
+TEST(CoalesceTest, RetransmittedElidedRequestIsAcknowledged) {
+  Rig rig;
+  int served = 0;
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [&](NodeId, WireReader) -> std::optional<Payload> {
+        ++served;
+        rig.b->endpoint->ElideCurrentReply();
+        return Int64Payload(0);
+      },
+      /*idempotent=*/true);
+  bool reply_ran = false;
+  rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [&](Payload) { reply_ran = true; });
+  sim::RunResult r = rig.machine->Run();
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(reply_ran);
+  EXPECT_EQ(served, 2);
+  EXPECT_EQ(rig.a->endpoint->outstanding(), 0u);
+  EXPECT_EQ(rig.a->endpoint->stats().retransmissions, 1u);
+  EXPECT_EQ(rig.b->endpoint->stats().replies_elided, 1u);
+  EXPECT_EQ(rig.b->endpoint->stats().replies_sent, 1u);
+}
+
 TEST(CoalesceTest, MutualPeerHoldRidesOnOwedReply) {
   Rig rig;
   RegisterEcho(*rig.a, Service::kPageRequest);

@@ -28,8 +28,8 @@ ClusterConfig Base() {
 TEST(ConfigDigestTest, EveryScheduleAffectingFieldMovesTheDigest) {
   const std::vector<Row> rows = {
       ROW(nodes = 4), ROW(network = NetworkKind::kSwitched), ROW(seed = 2), ROW(page_shift = 13),
-      ROW(wake_at_front = true), ROW(reliable_broadcast = true),
-      ROW(barrier = ClusterConfig::BarrierKind::kCentral), ROW(max_virtual_time += 1),
+      ROW(wake_at_front = true), ROW(barrier = ClusterConfig::BarrierKind::kCentral),
+      ROW(max_virtual_time += 1),
       ROW(dsm.pcp = dsm::Pcp::kDiff), ROW(dsm.mirage_window += 1),
       ROW(dsm.prefetch_detector = true), ROW(dsm.prefetch_hints = true),
       ROW(dsm.adapt_protocols = true), ROW(dsm.adapt_to_diff_threshold += 1),

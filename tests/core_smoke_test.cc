@@ -220,9 +220,6 @@ TEST(ClusterSmoke, LostChannelMessageDeadlocksLikeThePaper) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.fault_plan.loss_rate = 1.0;  // drop everything
-  // Keeps the config valid (Validate insists on it when frames can drop); inert here — the test
-  // exercises raw channel messages, never a barrier broadcast.
-  cfg.reliable_broadcast = true;
   Cluster cluster(cfg);
   RunReport r = cluster.Run([&](NodeEnv& env) {
     if (env.node() == 0) {

@@ -486,6 +486,26 @@ TEST(ReportCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunCli({"help"}).rc, report::kExitOk);
 }
 
+TEST(ReportCliTest, FlagsTheCommandDoesNotReadExitTwo) {
+  const std::string a = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
+  const std::string gate = WriteTemp("pass_gate.json", GateDoc(100));
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {"check-trace", "--check", gate, a},
+           {"report", "--force", a},
+           {"figure9", "--top", "3", a},
+           {"gate", "--check", gate, gate, a},
+           {"history", "--force", a, a},
+       }) {
+    const CliResult r = RunCli(args);
+    EXPECT_EQ(r.rc, report::kExitUsage) << args[0] << " " << args[1];
+    EXPECT_NE(r.err.find("does not take " + args[1]), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("usage: dfil_report"), std::string::npos) << r.err;
+  }
+  // The same flags on the commands that read them are accepted.
+  EXPECT_EQ(RunCli({"report", "--top", "3", a}).rc, report::kExitOk);
+  EXPECT_EQ(RunCli({"diff", "--force", a, a}).rc, report::kExitOk);
+}
+
 TEST(ReportCliTest, MissingFileExitsThree) {
   const std::string a = WriteTemp("a.json", MetricsDoc("a", "jacobi", 100));
   const std::string missing = ::testing::TempDir() + "/dfil_cli_does_not_exist.json";

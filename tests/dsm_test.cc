@@ -218,7 +218,6 @@ TEST(DsmProtocolTest, LostPageTrafficRecovers) {
   // Packet reliability end-to-end: page requests and transfers survive heavy loss.
   ClusterConfig cfg = Config(3, Pcp::kWriteInvalidate);
   cfg.fault_plan.loss_rate = 0.15;
-  cfg.reliable_broadcast = true;  // barrier dissemination must survive loss too
   cfg.packet.retransmit_timeout = Milliseconds(20.0);
   Cluster cluster(cfg);
   auto arr = GlobalArray1D<int64_t>::Alloc(cluster.layout(), 1024, "arr");
@@ -435,7 +434,6 @@ TEST(DsmPrefetchTest, MigratoryProtocolNeverUsesBulkTransfers) {
 TEST(DsmPrefetchTest, LostBulkRepliesAreRebuiltFromCurrentState) {
   ClusterConfig cfg = Config(2, Pcp::kWriteInvalidate);
   cfg.fault_plan.loss_rate = 0.25;
-  cfg.reliable_broadcast = true;
   cfg.packet.retransmit_timeout = Milliseconds(20.0);
   Cluster cluster(cfg);
   const size_t ps = cluster.layout().page_size();
@@ -486,7 +484,6 @@ TEST_P(PrefetchSweep, JacobiMatchesSequentialWithPrefetchingOn) {
   cfg.page_shift = 10;  // 32 doubles/row = 256 B: four rows per page, several pages per strip
   if (loss > 0) {
     cfg.fault_plan.loss_rate = loss;
-    cfg.reliable_broadcast = true;
     cfg.packet.retransmit_timeout = Milliseconds(20.0);
   }
   apps::AppRun df = apps::RunJacobiDf(p, cfg);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "src/apps/fuzz_driver.h"
 #include "src/apps/jacobi.h"
@@ -27,7 +28,6 @@ core::ClusterConfig AdversarialConfig(int nodes, dsm::Pcp pcp) {
   cfg.seed = 12345;
   cfg.page_shift = 9;  // 512 B pages: small grids still share pages across strips
   cfg.dsm.pcp = pcp;
-  cfg.reliable_broadcast = true;
   cfg.packet.retransmit_timeout = Milliseconds(10.0);
   cfg.packet.retransmit_timeout_max = Milliseconds(40.0);
   cfg.max_virtual_time = Seconds(120.0);
@@ -138,6 +138,34 @@ TEST(FuzzPinnedRegressionTest, StaleDoneMustNotCancelNextEpochSyncRequests) {
     EXPECT_TRUE(r.ok()) << r.Summary();
     EXPECT_NE(r.config_desc.find("coalesce"), std::string::npos) << r.Summary();
   }
+}
+
+// With coalescing on, the first serve of a reduce-up (and of a gated diff merge) elides its ack;
+// the barrier done broadcast stands in. Eliding the ack of every retransmission as well left the
+// sender retransmitting once per retransmit_timeout_max while the barrier legitimately waited for
+// slower nodes, until it aborted at the retransmission limit. Packet now answers a retransmitted
+// request with the plain reply.
+TEST(FuzzPinnedRegressionTest, RetransmittedSyncRequestIsAcknowledged) {
+  for (const auto& [scenario, seed] : {std::pair<const char*, uint64_t>{"burst-loss", 1515},
+                                       std::pair<const char*, uint64_t>{"uniform-loss", 8290}}) {
+    const FuzzResult r = RunFuzzCase(scenario, seed, {});
+    EXPECT_TRUE(r.ok()) << r.Summary();
+    EXPECT_NE(r.config_desc.find("coalesce"), std::string::npos) << r.Summary();
+    EXPECT_GT(r.net.retransmissions, 0u) << r.Summary();
+  }
+}
+
+// Under the elide-every-serve schedule this case's output diverged: the owner of page 5 adapted
+// its group from diff back to implicit-invalidate while node 1 still held a written diff copy,
+// node 3 (running a pool the balancer had just migrated from the owner) write-faulted the page
+// and took ownership, and node 1's merge then reached the former owner, which discards runs for a
+// page it no longer owns (DiffProtocol::ServeMerge). Acknowledging retransmissions changes the
+// schedule so the race does not form here; the lost-merge window itself is still open.
+TEST(FuzzPinnedRegressionTest, MixedCoalescedBalancedJacobiMatchesSequential) {
+  const FuzzResult r = RunFuzzCase("mixed", 4887, {});
+  EXPECT_TRUE(r.ok()) << r.Summary();
+  EXPECT_NE(r.config_desc.find("coalesce"), std::string::npos) << r.Summary();
+  EXPECT_NE(r.config_desc.find("balance"), std::string::npos) << r.Summary();
 }
 
 // --- Directed adversarial runs (duplication / reordering defenses) ---------------------------

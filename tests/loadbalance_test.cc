@@ -249,12 +249,10 @@ TEST(BalancerOnTest, MigrationShedsLoadOffTheSlowNode) {
 
 // --- Page re-homing under faults, checked by the coherence oracle ----------------------------
 
-// Short retransmission timeouts keep the faulted runs quick; reliable_broadcast is required by
-// Validate whenever the plan can drop frames (a lost done broadcast would hang every barrier).
+// Short retransmission timeouts keep the faulted runs quick.
 ClusterConfig FaultedBalancedConfig() {
   ClusterConfig cfg = BaseConfig();
   EnableBalancer(cfg);
-  cfg.reliable_broadcast = true;
   cfg.packet.retransmit_timeout = Milliseconds(10.0);
   cfg.packet.retransmit_timeout_max = Milliseconds(40.0);
   cfg.max_virtual_time = Seconds(300.0);

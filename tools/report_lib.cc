@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -1339,12 +1340,15 @@ CliOptions ParseCliOptions(int argc, char** argv, int first) {
         break;
       }
       opt.top_n = static_cast<size_t>(std::strtoul(top_value.c_str(), nullptr, 10));
+      opt.flags.push_back("--top");
     } else if (value_of("--check", &opt.check_baseline)) {
       if (!opt.error.empty()) {
         break;
       }
+      opt.flags.push_back("--check");
     } else if (arg == "--force") {
       opt.force = true;
+      opt.flags.push_back("--force");
     } else if (arg.rfind("--", 0) == 0) {
       opt.error = arg;
       break;
@@ -1749,8 +1753,9 @@ int Usage(std::ostream& err) {
          "                                    gate the path's wait-category shares\n"
          "                                    (dfil-critpath-gate-v1)\n"
          "\n"
-         "flags (position-independent):\n"
-         "  --top N          rows/hops to print (default 10)\n"
+         "flags (position-independent; a command refuses a flag it does not read):\n"
+         "  --top N          report/hot/paths/critpath/blame/gate/diff: rows/hops to print\n"
+         "                   (default 10)\n"
          "  --check FILE     critpath/blame: gate against a dfil-critpath-gate-v1 baseline\n"
          "  --force          diff: compare even when the fingerprints are incompatible\n"
          "\n"
@@ -1995,6 +2000,26 @@ int RunCli(int argc, char** argv, std::ostream& out, std::ostream& err) {
   if (!opt.error.empty()) {
     err << "dfil_report: unrecognized flag '" << opt.error << "'\n";
     return Usage(err);
+  }
+  // The flags each command reads. Any other is refused rather than ignored, so a mistyped gate
+  // step cannot pass while checking nothing.
+  static const std::map<std::string, std::set<std::string>> kCommandFlags = {
+      {"report", {"--top"}},           {"figure10", {}},
+      {"figure9", {}},                 {"hot", {"--top"}},
+      {"check-trace", {}},             {"paths", {"--top"}},
+      {"critpath", {"--top", "--check"}}, {"blame", {"--top", "--check"}},
+      {"flight", {}},                  {"gate", {"--top"}},
+      {"diff", {"--top", "--force"}},  {"history", {}},
+  };
+  const auto command = kCommandFlags.find(cmd);
+  if (command == kCommandFlags.end()) {
+    return Usage(err);
+  }
+  for (const std::string& flag : opt.flags) {
+    if (command->second.count(flag) == 0) {
+      err << "dfil_report: " << cmd << " does not take " << flag << "\n";
+      return Usage(err);
+    }
   }
   const size_t operands = opt.paths.size();
   if (operands >= 1 &&

@@ -36,12 +36,13 @@ constexpr int kExitCheckFailed = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
-// The position-independent flag vocabulary; each command uses the subset it documents. Unknown
-// "--flags" set `error` and the caller prints usage (exit 2).
+// The position-independent flag vocabulary; each command reads the subset it documents, and
+// RunCli refuses any other (exit 2). Unknown "--flags" set `error` and the caller prints usage.
 struct CliOptions {
   size_t top_n = 10;           // --top N / --top=N
   std::string check_baseline;  // --check FILE (critpath / blame)
   bool force = false;          // --force      (diff: compare despite incompatible runs)
+  std::vector<std::string> flags;  // the flags given, by name ("--top", "--check", "--force")
   std::vector<std::string> paths;  // bare operands, in order
   std::string error;           // non-empty = malformed/unknown flag (the offending token)
 };
