@@ -188,9 +188,16 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
   }
   if (cfg.dsm.pcp == dsm::Pcp::kImplicitInvalidate && rng.NextBernoulli(0.5)) {
     // Per-page-group adaptation: groups flip between implicit-invalidate and diff mid-run, so
-    // the sweep also covers the transition machinery (mode races self-correct via reply tags).
+    // the sweep also covers the transition machinery. A non-owner's mode follows the diff tag of
+    // the copy it was served; the owner flips back only after calm epochs in which it served no
+    // diff copy and applied no merge, so no diff copy outlives its group's flip.
     cfg.dsm.adapt_protocols = true;
     cfg.dsm.adapt_to_diff_threshold = 1 + static_cast<uint32_t>(rng.NextBounded(3));
+    // The calm window, drawn from its own derived stream (like coalescing and the balancer below)
+    // so the pre-existing corpus keeps its other draws. Calm 1 flips back one epoch after the last
+    // diff traffic: the tightest window a late merge can race.
+    Rng calm_rng(seed ^ HashName(scenario) ^ HashName("calm"));
+    cfg.dsm.adapt_calm_epochs = 1 + static_cast<uint32_t>(calm_rng.NextBounded(2));
   }
   cfg.barrier = rng.NextBernoulli(0.5) ? core::ClusterConfig::BarrierKind::kTournamentBroadcast
                                        : core::ClusterConfig::BarrierKind::kCentral;
@@ -283,7 +290,8 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
 
   desc << " pcp=" << dsm::PcpName(cfg.dsm.pcp) << " nodes=" << cfg.nodes
        << " ps=" << cfg.page_shift << (cfg.dsm.prefetch_detector ? " prefetch" : "")
-       << (cfg.dsm.adapt_protocols ? " adapt" : "")
+       << (cfg.dsm.adapt_protocols ? " adapt calm=" + std::to_string(cfg.dsm.adapt_calm_epochs)
+                                   : "")
        << (cfg.coalesce.enabled ? " coalesce" : "") << (cfg.balancer.enabled ? " balance" : "")
        << (cfg.barrier == core::ClusterConfig::BarrierKind::kCentral ? " central" : " tournament");
   result.config_desc = desc.str();

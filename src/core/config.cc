@@ -181,6 +181,12 @@ std::vector<std::string> ClusterConfig::Validate() const {
            std::to_string(plan.loss_rate) + ")");
   }
 
+  if (dsm.adapt_protocols && dsm.pcp != dsm::Pcp::kImplicitInvalidate) {
+    reject(std::string("dsm.adapt_protocols requires dsm.pcp = implicit_invalidate (got ") +
+           dsm::PcpName(dsm.pcp) + "): the adapter switches page groups between "
+           "implicit-invalidate and diff");
+  }
+
   if (balancer.enabled) {
     if (!InUnitInterval(balancer.balance_trigger_ratio) || balancer.balance_trigger_ratio <= 0.0) {
       reject("balancer.balance_trigger_ratio must be in (0, 1] (got " +

@@ -8,7 +8,6 @@
 #include "src/core/forkjoin.h"
 #include "src/core/pool_engine.h"
 #include "src/dsm/coherence_oracle.h"
-#include "src/dsm/page_protocol.h"
 
 namespace dfil::core {
 namespace {

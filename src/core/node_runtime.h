@@ -84,7 +84,6 @@ class NodeRuntime final : public sim::NodeHost, public NodeUpcalls {
   // Makes `t` runnable. Placement defaults to the configured wake policy (front = fork/join
   // anti-thrashing; tail = iterative frontloading).
   void Wake(threads::ServerThread* t) override { WakeAt(t, config_.wake_at_front); }
-  void WakeAtFront(threads::ServerThread* t) { WakeAt(t, /*front=*/true); }
   void WakeAtTail(threads::ServerThread* t) { WakeAt(t, /*front=*/false); }
   // Wakes the thread parked in `slot` (at the tail), if any, and clears the slot.
   void WakeWaiter(threads::ServerThread*& slot);

@@ -342,7 +342,7 @@ void PoolEngine::IssuePrefetchHints(Pool* pool) {
     while (j < due.size() && due[j] == due[j - 1] + 1) {
       ++j;
     }
-    dsm.Prefetch(due[i], static_cast<int>(j - i), dsm::AccessMode::kRead);
+    dsm.Prefetch(due[i], static_cast<int>(j - i));
     i = j;
   }
 }

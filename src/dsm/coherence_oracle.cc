@@ -205,12 +205,6 @@ void CoherenceOracle::OnInvalidated(NodeId node, PageId page) {
   }
 }
 
-void CoherenceOracle::OnDiscardedInstall(NodeId node, PageId page) {
-  (void)node;
-  (void)page;
-  ++installs_discarded_;
-}
-
 void CoherenceOracle::OnTwinWrite(NodeId node, PageId page) {
   ++checks_run_;
   const PageEntry& e = Entry(node, page);
@@ -283,6 +277,14 @@ void CoherenceOracle::OnDiffMergeApplied(NodeId home, NodeId src, PageId page, u
   log.push_back(MergeRec{src, epoch, runs});
   // The merge made src's write burst observable in the home frame; fold it into the shadow.
   SyncShadow(home, page);
+}
+
+void CoherenceOracle::OnMergeAtNonOwner(NodeId node, NodeId src, PageId page, uint64_t epoch) {
+  ++checks_run_;
+  std::ostringstream os;
+  os << "merge at non-owner: node " << node << " received node " << src << "'s epoch " << epoch
+     << " diff of page " << page << " without owning it; the writes are lost";
+  Violate(os.str());
 }
 
 void CoherenceOracle::AtQuiescentPoint() {

@@ -22,7 +22,8 @@
 // The diff protocol is multiple-writer by design, so its writable copies are tracked through
 // dedicated hooks instead of the single-writer grant invariant: concurrent diff writers to
 // *disjoint* byte ranges of a page are legal, but two merges from different senders in the same
-// epoch whose runs overlap are a data race and are flagged. Every protocol check consults the
+// epoch whose runs overlap are a data race and are flagged, as is a merge that reaches a node no
+// longer owning its page (its runs have no frame to land in). Every protocol check consults the
 // per-page protocol (DsmNode::page_pcp), so adapted clusters mixing implicit-invalidate and diff
 // groups are checked per group.
 //
@@ -77,8 +78,6 @@ class CoherenceOracle {
   void OnWriteGranted(NodeId node, PageId page);
   // `node` dropped its read copy of `page` on an explicit invalidation.
   void OnInvalidated(NodeId node, PageId page);
-  // `node` discarded an in-flight install because the copy was invalidated before it landed.
-  void OnDiscardedInstall(NodeId node, PageId page);
   // Diff protocol: `node` twinned `page` and promoted its non-owner copy to writable.
   void OnTwinWrite(NodeId node, PageId page);
   // Diff protocol: `node` installed a writable (unowned, twinned) copy of `page`'s group.
@@ -86,6 +85,9 @@ class CoherenceOracle {
   // Diff protocol: home `home` merged `src`'s runs for `page` from its epoch-`epoch` flush.
   void OnDiffMergeApplied(NodeId home, NodeId src, PageId page, uint64_t epoch,
                           const std::vector<net::DiffRun>& runs);
+  // Diff protocol: `src`'s epoch-`epoch` merge for `page` reached `node`, which no longer owns
+  // the page. The runs have no frame to land in, so the writes would be lost: always a violation.
+  void OnMergeAtNonOwner(NodeId node, NodeId src, PageId page, uint64_t epoch);
 
   // Global sweep at a quiescent point: called by the barrier champion once every node has
   // contributed (and therefore drained its fetches and run AtSyncPoint).
@@ -100,8 +102,6 @@ class CoherenceOracle {
   const std::vector<std::string>& violations() const { return violations_; }
   uint64_t checks_run() const { return checks_run_; }
   uint64_t quiescent_points() const { return quiescent_points_; }
-  uint64_t installs_discarded() const { return installs_discarded_; }
-  uint64_t version_of(PageId page) const { return version_[page]; }
 
  private:
   const PageEntry& Entry(NodeId node, PageId page) const;
@@ -132,7 +132,6 @@ class CoherenceOracle {
   std::vector<std::string> violations_;
   uint64_t checks_run_ = 0;
   uint64_t quiescent_points_ = 0;
-  uint64_t installs_discarded_ = 0;
 
   static constexpr size_t kMaxRecordedViolations = 64;
 };

@@ -8,7 +8,6 @@
 #include "src/common/log.h"
 #include "src/common/metrics.h"
 #include "src/dsm/coherence_oracle.h"
-#include "src/dsm/page_protocol.h"
 
 namespace dfil::dsm {
 namespace {
@@ -21,8 +20,36 @@ constexpr int kPrefetchDegree = 4;
 // the miss list a stale probable-owner hint can cost.
 constexpr uint32_t kMaxBulkPages = 16;
 
+// The two facts the fault, serve and sync paths ask of a page's protocol; nothing else about the
+// single-writer protocols differs in code. Write-invalidate's invalidation rounds follow from the
+// copyset (an empty one finishes at once), implicit invalidation from its absence (untracked
+// copies die at every sync point), and a write that moves no ownership is the diff protocol's
+// writable copy, whose twins and merges live in DiffProtocol.
+struct PcpFacts {
+  bool moves_ownership[2];  // indexed by AccessMode: the request takes the page from its owner
+  bool tracks_copyset;      // the owner records read copies and invalidates them before a write
+};
+constexpr PcpFacts kPcpFacts[kNumPcps] = {
+    {{true, true}, false},    // kMigratory: one copy, and every request moves it
+    {{false, true}, true},    // kWriteInvalidate
+    {{false, true}, false},   // kImplicitInvalidate
+    {{false, false}, false},  // kDiff: the home serves writable copies and stays the owner
+};
+
+constexpr bool MovesOwnership(Pcp pcp, AccessMode mode) {
+  return kPcpFacts[static_cast<size_t>(pcp)].moves_ownership[static_cast<size_t>(mode)];
+}
+constexpr bool TracksCopyset(Pcp pcp) { return kPcpFacts[static_cast<size_t>(pcp)].tracks_copyset; }
+// Whether `pcp` is the multiple-writer protocol: a write fault is served a copy, not the page.
+constexpr bool IsDiff(Pcp pcp) { return !MovesOwnership(pcp, AccessMode::kWrite); }
+
 constexpr uint8_t kReplyOk = 0;
 constexpr uint8_t kReplyRedirect = 1;
+
+// Reply-header flag bits (the byte that used to be `grants_ownership`; bit 0 keeps its meaning,
+// so the single-writer protocols' replies are byte-identical to the pre-diff wire format).
+constexpr uint8_t kReplyFlagOwnership = 1;  // the reply transfers page ownership
+constexpr uint8_t kReplyFlagDiff = 2;       // the served copy is a multiple-writer diff copy
 
 struct RequestBody {
   PageId page;
@@ -135,7 +162,7 @@ DsmNode::DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* p
   packet_->RegisterService(
       net::Service::kDiffMerge,
       [this](NodeId src, net::WireReader body) {
-        return diff_->ServeMerge(src, body, /*gated=*/false);
+        return diff_.ServeMerge(src, body, /*gated=*/false);
       },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
   // Gated variant (coalescing sync-batch mode): same apply path, but the ack is elided — the
@@ -144,30 +171,10 @@ DsmNode::DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* p
   packet_->RegisterService(
       net::Service::kDiffMergeGated,
       [this](NodeId src, net::WireReader body) {
-        return diff_->ServeMerge(src, body, /*gated=*/true);
+        return diff_.ServeMerge(src, body, /*gated=*/true);
       },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
-
-  protocols_[static_cast<size_t>(Pcp::kMigratory)] = std::make_unique<MigratoryProtocol>(*this);
-  protocols_[static_cast<size_t>(Pcp::kWriteInvalidate)] =
-      std::make_unique<WriteInvalidateProtocol>(*this);
-  protocols_[static_cast<size_t>(Pcp::kImplicitInvalidate)] =
-      std::make_unique<ImplicitInvalidateProtocol>(*this);
-  auto diff = std::make_unique<DiffProtocol>(*this);
-  diff_ = diff.get();
-  protocols_[static_cast<size_t>(Pcp::kDiff)] = std::move(diff);
-  if (config_.adapt_protocols) {
-    DFIL_CHECK(config_.pcp == Pcp::kImplicitInvalidate)
-        << "protocol adaptation switches groups between implicit-invalidate and diff; the base "
-           "PCP must be implicit-invalidate";
-    // The diff flush runs first so twinned pages are encoded before any copy sweep.
-    active_protocols_ = {diff_, protocols_[static_cast<size_t>(Pcp::kImplicitInvalidate)].get()};
-  } else {
-    active_protocols_ = {protocols_[static_cast<size_t>(config_.pcp)].get()};
-  }
 }
-
-DsmNode::~DsmNode() = default;
 
 Pcp DsmNode::page_pcp(PageId page) const {
   if (!config_.adapt_protocols) {
@@ -233,11 +240,7 @@ void DsmNode::FaultAndWait(PageId page, AccessMode mode) {
 
   bool initiated = false;
   if (!e.fetching) {
-    // The protocol decides what a fresh fault does: demand-fetch through the owner directory
-    // (default), upgrade in place (write-invalidate owners), or twin the copy locally (diff).
-    const FaultResult r = mode == AccessMode::kWrite ? proto(page).OnWriteFault(page)
-                                                     : proto(page).OnReadFault(page);
-    if (r == FaultResult::kSatisfied) {
+    if (!StartFault(page, mode)) {
       return;  // handled without a fetch; the access proceeds immediately
     }
     initiated = true;
@@ -272,9 +275,42 @@ void DsmNode::FaultAndWait(PageId page, AccessMode mode) {
   host_->metrics().Hist("dsm.fault_wait_us").Record(ToMicroseconds(host_->Clock() - blocked_at));
 }
 
+bool DsmNode::StartFault(PageId page, AccessMode mode) {
+  PageEntry& e = table_[page];
+  if (mode == AccessMode::kWrite && e.owner && e.state == PageState::kReadOnly) {
+    StartOwnerUpgrade(page);
+    return true;
+  }
+  if (IsDiff(page_pcp(page))) {
+    if (mode == AccessMode::kWrite && !e.owner && e.state == PageState::kReadOnly &&
+        e.diff_copy) {
+      // First write to a diff-tagged read copy: twin it and promote in place — no messages at
+      // all. The `diff_copy` tag (set from the serving owner's reply flag) is required, not just
+      // the local adapter mode: a stale local mode must never twin a plain implicit-invalidate
+      // copy.
+      diff_.TwinInPlace(page);
+      return false;
+    }
+    if (diff_.MaybeBulkRefetch(page)) {
+      // The bulk reply installs diff-tagged read copies; a woken writer re-faults and twins the
+      // page in place (above), so the write still never transfers ownership.
+      return true;
+    }
+    // No usable copy: demand-fetch one from the home, which answers with a diff-tagged copy;
+    // OnPageReply routes a write fault's copy into InstallWritableCopy.
+  }
+  // Demand fetch through the owner directory. Allocate the causal trace id for this fetch; the
+  // request, every chase hop, the owner's serve, and the final install all carry it.
+  BeginFetch(page, mode);
+  e.trace_id = host_->tracer().NewTraceId();
+  TraceContext trace_ctx(&host_->tracer(), e.trace_id);
+  SendPageRequest(page, mode, e.probable_owner);
+  return true;
+}
+
 void DsmNode::StartOwnerUpgrade(PageId page) {
-  // We own the page but downgraded to read-only for other readers; invalidate their copies and
-  // upgrade in place — no page request needed.
+  // We own the page but downgraded to read-only for other readers (write-invalidate); invalidate
+  // their copies and upgrade in place — no page request needed.
   PageEntry& e = table_[page];
   BeginFetch(page, AccessMode::kWrite);
   e.trace_id = host_->tracer().NewTraceId();
@@ -350,7 +386,12 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
     case ServeVerdict::kServe:
       host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
       stats_.page_requests_served++;
-      return proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq);
+      if (MovesOwnership(page_pcp(req.page), req.mode)) {
+        return ServeTransfer(src, req.page, req.fault_seq);
+      }
+      return BuildDataReply(req.page, /*transfer_ownership=*/false, /*include_copyset=*/false,
+                            /*from_grant=*/false,
+                            ServeCopy(src, req.page, /*may_tag=*/true) ? kReplyFlagDiff : 0);
     case ServeVerdict::kRedirect:
       break;
   }
@@ -408,7 +449,7 @@ DsmNode::ServeVerdict DsmNode::ServeGuard(NodeId src, PageId page, AccessMode mo
     // access. Ignore the request; the retransmission arrives after the waiters have run.
     return ServeVerdict::kUseDefer;
   }
-  if (proto(page).TransfersOwnership(mode) && config_.mirage_window > 0 &&
+  if (MovesOwnership(page_pcp(page), mode) && config_.mirage_window > 0 &&
       host_->Clock() < e.hold_until) {
     // Mirage hold window: ignore the request; the requester's retransmission will retry.
     return ServeVerdict::kMirageDefer;
@@ -428,22 +469,28 @@ net::Payload DsmNode::ReserveGrant(NodeId src, PageId page) {
   stats_.grant_reserves++;
   DFIL_ORACLE(oracle_, OnServeGrantReserve(self_, src, page));
   return BuildDataReply(page, /*transfer_ownership=*/true,
-                        /*include_copyset=*/proto(page).TracksCopyset(), /*from_grant=*/true);
+                        /*include_copyset=*/TracksCopyset(page_pcp(page)), /*from_grant=*/true);
 }
 
-net::Payload DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags) {
-  // Read copy. A copyset-tracking owner (write-invalidate) downgrades and tracks the copy;
-  // otherwise the copy is untracked — it dies at the reader's next sync point
-  // (implicit-invalidate) or is merged back by diffs (diff).
-  if (proto(page).TracksCopyset()) {
+bool DsmNode::ServeCopy(NodeId src, PageId page, bool may_tag) {
+  // A copyset-tracking owner (write-invalidate) downgrades and tracks the copy; otherwise the
+  // copy is untracked — it dies at the reader's next sync point (implicit-invalidate) or is
+  // merged back by diffs (diff).
+  const Pcp pcp = page_pcp(page);
+  if (TracksCopyset(pcp)) {
     for (PageId p : layout_->GroupPagesOf(page)) {
       table_[p].state = PageState::kReadOnly;
       table_[p].copyset |= Bit(src);
     }
   }
+  const bool diff_copy = may_tag && IsDiff(pcp);
+  if (diff_copy && config_.adapt_protocols) {
+    // A diff copy can be twinned in place and send a merge at the holder's next sync point, so
+    // every one keeps the group hot — and thereby pinned to this owner until the merge landed.
+    NoteAdaptTraffic(page);
+  }
   DFIL_ORACLE(oracle_, OnServeRead(self_, src, page));
-  return BuildDataReply(page, /*transfer_ownership=*/false, /*include_copyset=*/false,
-                        /*from_grant=*/false, extra_flags);
+  return diff_copy;
 }
 
 net::Payload DsmNode::ServeTransfer(NodeId src, PageId page, uint32_t fault_seq) {
@@ -454,7 +501,7 @@ net::Payload DsmNode::ServeTransfer(NodeId src, PageId page, uint32_t fault_seq)
     NoteAdaptTraffic(page);  // write transfers served are the owner's half of the ping-pong count
   }
   net::Payload reply = BuildDataReply(page, /*transfer_ownership=*/true,
-                                      /*include_copyset=*/proto(page).TracksCopyset());
+                                      /*include_copyset=*/TracksCopyset(page_pcp(page)));
   DFIL_ORACLE(oracle_, OnServeTransfer(self_, src, page));
   for (PageId p : layout_->GroupPagesOf(page)) {
     PageEntry& ge = table_[p];
@@ -532,16 +579,14 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
       table_[p].probable_owner = h.owner_hint;
     }
     stats_.discarded_installs++;
-    DFIL_ORACLE(oracle_, OnDiscardedInstall(self_, page));
     FinishFetch(page, PageState::kInvalid, /*ownership=*/false);
     return;
   }
 
   if ((h.flags & kReplyFlagOwnership) != 0) {
-    if (mode == AccessMode::kWrite && proto(page).OnOwnershipInstall(page, copyset)) {
-      return;  // the protocol continues the fetch itself (write-invalidate's invalidation round)
-    }
-    FinishFetch(page, PageState::kReadWrite, /*ownership=*/true);
+    // Invalidate every other read copy before the new owner proceeds. Only a copyset-tracking
+    // owner (write-invalidate) ships a non-empty copyset; an empty round finishes at once.
+    StartInvalidations(page, copyset & ~Bit(self_));
     return;
   }
 
@@ -551,7 +596,7 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
   if ((h.flags & kReplyFlagDiff) != 0 && mode == AccessMode::kWrite) {
     // A diff-tagged copy answering a write fault: twin it and install it writable in place, so
     // the write proceeds without an ownership transfer.
-    diff_->InstallWritableCopy(page);
+    diff_.InstallWritableCopy(page);
     return;
   }
   FinishFetch(page, PageState::kReadOnly, /*ownership=*/false,
@@ -643,7 +688,7 @@ void DsmNode::RetireFetch() {
 // --- Bulk transfers / prefetching ------------------------------------------------------------
 
 void DsmNode::NoteFaultForDetector(PageId page, AccessMode mode) {
-  if (mode != AccessMode::kRead || config_.pcp == Pcp::kMigratory ||
+  if (mode != AccessMode::kRead || MovesOwnership(config_.pcp, AccessMode::kRead) ||
       layout_->GroupOf(page) != kNoGroup) {
     return;
   }
@@ -655,15 +700,14 @@ void DsmNode::NoteFaultForDetector(PageId page, AccessMode mode) {
                        : 1;
   last_fault_page_ = page;
   if (fault_run_len_ >= kPrefetchMinRun) {
-    Prefetch(page + 1, kPrefetchDegree, AccessMode::kRead);
+    Prefetch(page + 1, kPrefetchDegree);
   }
 }
 
-void DsmNode::Prefetch(PageId first, int count, AccessMode mode) {
-  // Read replication only: a write needs an ownership transfer, and prefetching a read copy
-  // first would double the traffic. Migratory moves ownership on every fetch, so it is excluded
-  // entirely (the correctness constraint on bulk reads).
-  if (mode != AccessMode::kRead || config_.pcp == Pcp::kMigratory || count <= 0) {
+void DsmNode::Prefetch(PageId first, int count) {
+  // Read replication only. Migratory moves ownership on every fetch, so it is excluded entirely
+  // (the correctness constraint on bulk reads).
+  if (MovesOwnership(config_.pcp, AccessMode::kRead) || count <= 0) {
     return;
   }
   const uint64_t clamped_end =
@@ -751,7 +795,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     const PageId p = static_cast<PageId>(p64);
     const bool servable =
         ServeGuard(src, p, AccessMode::kRead, std::nullopt) == ServeVerdict::kServe &&
-        page_pcp(p) != Pcp::kMigratory && layout_->GroupOf(p) == kNoGroup;
+        !MovesOwnership(page_pcp(p), AccessMode::kRead) && layout_->GroupOf(p) == kNoGroup;
     (servable ? hits : misses).push_back(p);
   }
   if (!hits.empty()) {
@@ -764,18 +808,10 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
   w.Put(BulkReplyHeader{self_, req.first, static_cast<uint16_t>(hits.size()),
                         static_cast<uint16_t>(misses.size())});
   for (PageId p : hits) {
-    PageEntry& e = table_[p];
-    if (proto(p).TracksCopyset()) {
-      e.state = PageState::kReadOnly;  // owner downgrades and tracks the copy, as for any read
-      e.copyset |= Bit(src);
-    }
     // Bit 0 of the copyset field doubles as the diff tag in coalescing sync-batch mode: the home
     // marks served diff-mode pages so a flush-set bulk refetch installs twin-eligible copies.
     // Only set when sync-batch is on, so off-mode bulk replies stay byte-identical.
-    const uint64_t diff_tag =
-        (sync_batch_ && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
-    PutPageBlock(w, p, diff_tag);
-    DFIL_ORACLE(oracle_, OnServeRead(self_, src, p));
+    PutPageBlock(w, p, ServeCopy(src, p, /*may_tag=*/sync_batch_) ? 1 : 0);
   }
   for (PageId p : misses) {
     w.Put(p);
@@ -814,7 +850,6 @@ void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, boo
     // untracked copy. Treat it as a miss: waiters re-fault, a pure prefetch just lapses.
     installed = false;
     stats_.discarded_installs++;
-    DFIL_ORACLE(oracle_, OnDiscardedInstall(self_, page));
   }
   if (installed) {
     e.state = PageState::kReadOnly;
@@ -859,7 +894,7 @@ void DsmNode::RequestRehome(const std::vector<PageId>& pages, NodeId source) {
     PageEntry& e = table_[p];
     // Owned/fetching pages need no re-home; grouped pages move as a unit through the normal
     // fault path; the diff protocol never transfers ownership at all.
-    if (e.owner || e.fetching || layout_->GroupOf(p) != kNoGroup || page_pcp(p) == Pcp::kDiff) {
+    if (e.owner || e.fetching || layout_->GroupOf(p) != kNoGroup || IsDiff(page_pcp(p))) {
       continue;
     }
     BeginFetch(p, AccessMode::kWrite);
@@ -922,17 +957,13 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
     }
     // Every other verdict is a miss, never a deferral: the batch reply must not stall on one page
     // in flux, and a missed page simply stays home until a demand fault moves it.
-    std::optional<net::Payload> reply;
-    if (verdict == ServeVerdict::kServe && page_pcp(preq.page) != Pcp::kDiff &&
-        layout_->GroupOf(preq.page) == kNoGroup) {
-      reply = proto(preq.page).OnRemoteRequest(src, preq.page, AccessMode::kWrite, preq.fault_seq);
-    }
-    if (!reply.has_value()) {
+    if (verdict != ServeVerdict::kServe || IsDiff(page_pcp(preq.page)) ||
+        layout_->GroupOf(preq.page) != kNoGroup) {
       stats_.rehome_misses_served++;
       misses.push_back(preq.page);
       continue;
     }
-    served.push_back({preq.page, std::move(*reply)});
+    served.push_back({preq.page, ServeTransfer(src, preq.page, preq.fault_seq)});
   }
   if (!served.empty()) {
     host_->Charge(TimeCategory::kDataTransfer,
@@ -1029,19 +1060,33 @@ std::optional<net::Payload> DsmNode::ServeInvalidate(NodeId src, net::WireReader
 }
 
 void DsmNode::AtSyncPoint() {
-  for (PageProtocol* p : active_protocols_) {
-    p->OnSyncPoint();
+  // Twinned pages are encoded and their copies dropped first (nothing happens without twins).
+  diff_.FlushAtSyncPoint();
+  if (!TracksCopyset(config_.pcp)) {
+    // Implicit invalidation: a read copy no owner tracks has a very short lifetime — it dies,
+    // without any message traffic, at every synchronization point (paper §3). This covers diff
+    // copies and untagged bulk/prefetch installs too: a copy that survived a sync point could
+    // hold bytes from before other writers' merges landed at the home. (Migratory has no read
+    // copies to drop.)
+    for (PageEntry& e : table_) {
+      if (!e.owner && e.state == PageState::kReadOnly && !e.fetching) {
+        e.state = PageState::kInvalid;
+        e.diff_copy = false;
+        stats_.implicit_invalidations++;
+        NotePageDiscarded(e);
+      }
+    }
   }
   if (config_.adapt_protocols) {
     AdapterAtSyncPoint();
   }
 }
 
-void DsmNode::OnBarrierDone() { diff_->OnBarrierDone(); }
+void DsmNode::OnBarrierDone() { diff_.OnBarrierDone(); }
 
-uint64_t DsmNode::DiffAppliedEpoch(NodeId src) const { return diff_->applied_epoch(src); }
+uint64_t DsmNode::DiffAppliedEpoch(NodeId src) const { return diff_.applied_epoch(src); }
 
-uint64_t DsmNode::PendingGatedMergeEpoch() const { return diff_->pending_gated_merge_epoch(); }
+uint64_t DsmNode::PendingGatedMergeEpoch() const { return diff_.pending_gated_merge_epoch(); }
 
 void DsmNode::NoteAdaptTraffic(PageId page) { adapt_[GroupRoot(page)].traffic++; }
 
@@ -1066,9 +1111,13 @@ void DsmNode::AdapterAtSyncPoint() {
       }
     } else if (owner) {
       // Hysteresis: only after adapt_calm_epochs consecutive quiet epochs does the owner fall
-      // back to implicit-invalidate. While any writer still holds a diff copy, its faults/merges
-      // count as traffic, so a live multiple-writer group can never flip back mid-use (which
-      // also pins ownership: the diff protocol never transfers it).
+      // back to implicit-invalidate. Every diff copy served and every merge applied counts as
+      // traffic, so the group cannot flip back while a copy is live (which also pins ownership:
+      // the diff protocol never transfers it). A copy served in this owner's epoch E goes to a
+      // holder in epoch E-1 or E; it dies at that holder's sync point, and its merge lands
+      // before that barrier releases (acked merges drain first; a gated merge is applied before
+      // the holder's arrival counts), so before this owner's sync point E+1. An epoch with no
+      // traffic therefore ends with no live copy, and any adapt_calm_epochs >= 1 is safe.
       if (st.traffic == 0) {
         if (++st.calm >= config_.adapt_calm_epochs) {
           st.mode = Pcp::kImplicitInvalidate;

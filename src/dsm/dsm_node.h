@@ -7,8 +7,10 @@
 // Message handlers (page requests, replies, invalidations) run asynchronously — the SIGIO analog —
 // and never block.
 //
-// Four page consistency protocols are implemented (paper §3 plus the diff extension), as
-// PageProtocol strategies (page_protocol.h):
+// Four page consistency protocols are implemented (paper §3 plus the diff extension). One fault,
+// serve and sync path serves all four: it asks a page's protocol two facts from a constant table
+// (dsm_node.cc, kPcpFacts): does a request in this mode move ownership, and does the owner track
+// a copyset. The diff protocol's twins and merges live in the diff engine (page_protocol.h).
 //  * kMigratory        — one copy; the page (and ownership) moves to any requester.
 //  * kWriteInvalidate  — replicated read-only copies; a writer acquires ownership and explicitly
 //                        invalidates every copy in the owner-maintained copyset before writing.
@@ -33,11 +35,9 @@
 #ifndef DFIL_DSM_DSM_NODE_H_
 #define DFIL_DSM_DSM_NODE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -48,17 +48,21 @@
 #include "src/common/types.h"
 #include "src/common/upcalls.h"
 #include "src/dsm/layout.h"
+#include "src/dsm/page_protocol.h"
 #include "src/net/packet.h"
 #include "src/threads/server_thread.h"
 
 namespace dfil::dsm {
 
 class CoherenceOracle;
-class PageProtocol;
-class MigratoryProtocol;
-class WriteInvalidateProtocol;
-class ImplicitInvalidateProtocol;
-class DiffProtocol;
+
+// Trace track for the adapter's decision instants, next to the fault injector's
+// sim::Machine::kInjectionTid = 1000000 `inject` lane.
+inline constexpr uint64_t kAdaptTid = 1000001;
+
+// Trace track for load-balancer events (plan emission, filament migration, page re-homing);
+// every instant name on it starts with "rebalance" so report_lib can count them.
+inline constexpr uint64_t kRebalanceTid = 1000002;
 
 enum class Pcp : uint8_t { kMigratory, kWriteInvalidate, kImplicitInvalidate, kDiff };
 inline constexpr size_t kNumPcps = 4;
@@ -100,9 +104,10 @@ struct DsmConfig {
   // --- Per-page-group protocol adaptation (extension; DESIGN.md §10) ---
   // Requires pcp == kImplicitInvalidate. Every page group starts under implicit-invalidate; the
   // group's owner flips it to the diff protocol when the group's per-epoch ping-pong write
-  // traffic (write faults taken plus write copies/transfers served) reaches
-  // adapt_to_diff_threshold, and flips it back after adapt_calm_epochs consecutive epochs with
-  // no diff activity (hysteresis, so a group does not oscillate at the threshold). Decisions are
+  // traffic (write faults taken plus transfers served) reaches adapt_to_diff_threshold, and
+  // flips it back after adapt_calm_epochs consecutive epochs with no diff activity: no diff copy
+  // served and no merge applied (hysteresis, so a group does not oscillate at the threshold; and
+  // every diff copy is dead before its group flips). Decisions are
   // made at synchronization points and recorded as instants on the trace `adapt` track.
   bool adapt_protocols = false;
   uint32_t adapt_to_diff_threshold = 3;
@@ -139,7 +144,6 @@ class DsmNode {
   DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* packet,
           const sim::CostModel* costs, const DsmConfig& config, NodeUpcalls* host,
           NodeId parent);
-  ~DsmNode();
 
   DsmNode(const DsmNode&) = delete;
   DsmNode& operator=(const DsmNode&) = delete;
@@ -172,15 +176,15 @@ class DsmNode {
 
   // --- Prefetching (any context; never blocks) ---
 
-  // Asynchronously fetches the page run [first, first+count) with bulk requests, skipping pages
-  // that are present, already being fetched, grouped, or owned here. Only read prefetches are
-  // supported: a write needs an ownership transfer, and prefetching a read copy first would turn
-  // one transfer into two. No-op under the migratory PCP (every fetch moves ownership there).
+  // Asynchronously fetches read copies of the page run [first, first+count) with bulk requests,
+  // skipping pages that are present, already being fetched, grouped, or owned here. Reads only:
+  // a write needs an ownership transfer, and prefetching a read copy first would turn one
+  // transfer into two. No-op under the migratory PCP (every fetch moves ownership there).
   // Fetched pages land as replicated read-only copies, subject to the normal PCP rules —
   // write-invalidate tracks them in the owner's copyset, implicit-invalidate drops them at the
   // next synchronization point. Outstanding prefetches count as pending fetches, so they drain
   // at synchronization points like demand faults.
-  void Prefetch(PageId first, int count, AccessMode mode);
+  void Prefetch(PageId first, int count);
 
   // Hint-pruning handshake: returns whether the last prefetched copy of `page` was discarded
   // without ever being accessed, and clears the flag.
@@ -188,8 +192,8 @@ class DsmNode {
 
   // --- Synchronization integration ---
 
-  // Called by the runtime at every synchronization point (reduction/barrier). Under
-  // implicit-invalidate this discards all read-only copies — no messages are sent.
+  // Called by the runtime at every synchronization point (reduction/barrier). Flushes diff twins
+  // and, unless the protocol tracks copysets, discards every clean read copy without a message.
   void AtSyncPoint();
 
   // Called when the barrier's done signal arrives (coalescing sync-batch mode): cancels the
@@ -235,16 +239,11 @@ class DsmNode {
   const DsmStats& stats() const { return stats_; }
   const GlobalLayout& layout() const { return *layout_; }
   std::byte* raw_replica(GlobalAddr addr) { return replica_.data() + addr; }
-  Pcp pcp() const { return config_.pcp; }
   // The protocol currently governing `page`: the configured PCP, or the adapter's per-group
   // choice (implicit-invalidate or diff) when adaptation is enabled.
   Pcp page_pcp(PageId page) const;
 
  private:
-  friend class PageProtocol;
-  friend class MigratoryProtocol;
-  friend class WriteInvalidateProtocol;
-  friend class ImplicitInvalidateProtocol;
   friend class DiffProtocol;
   // Access() past the resident hit: checks every page of the range and faults the first missing
   // one in, until all are present.
@@ -252,6 +251,10 @@ class DsmNode {
 
   // Initiates (or joins) a fetch of `page` with `mode` and suspends the current thread.
   void FaultAndWait(PageId page, AccessMode mode);
+  // Starts what a fresh fault (no fetch outstanding) does: upgrade an owned read-only page in
+  // place, re-fetch a diff flush set, or demand-fetch the page; returns true. Twinning a diff
+  // copy in place needs no fetch and returns false.
+  bool StartFault(PageId page, AccessMode mode);
 
   // Sends a page request for `page` towards `target`.
   void SendPageRequest(PageId page, AccessMode mode, NodeId target);
@@ -290,18 +293,16 @@ class DsmNode {
   std::optional<net::Payload> ServeInvalidate(NodeId src, net::WireReader body);
   void OnPageReply(PageId page, AccessMode mode, net::Payload reply);
 
-  // --- PageProtocol plumbing (policy helpers the strategies share; page_protocol.h) ---
-
-  // Write-invalidate upgrade-in-place: invalidate the copyset, no page request.
+  // Upgrade-in-place of an owned read-only page (only write-invalidate owners downgrade):
+  // invalidate the copyset, no page request.
   void StartOwnerUpgrade(PageId page);
-  // Owner-side reply builders used by OnRemoteRequest. ServeReadCopy ships an (optionally
-  // copyset-tracked) read copy with `extra_flags` folded into the reply header; ServeTransfer
-  // demotes this owner and records the grant.
-  net::Payload ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags);
+  // Owner side of every read-copy serve, single-page and bulk: tracks the copy when the protocol
+  // keeps a copyset and reports it to the oracle. Returns whether the copy goes out as a diff
+  // copy (`may_tag` and the page is under the diff protocol); each one counts as adapter traffic,
+  // which pins the group to this owner while the copy can still send a merge.
+  bool ServeCopy(NodeId src, PageId page, bool may_tag);
+  // Ownership transfer reply: demotes this owner and records the grant.
   net::Payload ServeTransfer(NodeId src, PageId page, uint32_t fault_seq);
-  PageProtocol& proto(PageId page) const {
-    return *protocols_[static_cast<size_t>(page_pcp(page))];
-  }
 
   // --- Per-page-group adapter ---
 
@@ -414,18 +415,15 @@ class DsmNode {
   DsmStats stats_;
   CoherenceOracle* oracle_ = nullptr;
 
-  // One strategy instance per protocol, indexed by Pcp; active_protocols_ are the ones whose
-  // OnSyncPoint runs ({configured} normally, {diff, implicit-invalidate} under adaptation).
-  std::array<std::unique_ptr<PageProtocol>, kNumPcps> protocols_;
-  std::vector<PageProtocol*> active_protocols_;
-  DiffProtocol* diff_ = nullptr;
+  // The diff engine: twins, merges and flush sets (idle unless a page is under kDiff).
+  DiffProtocol diff_{*this};
 
   // Adapter state, per group root (ungrouped pages are singleton groups). Only groups that saw
   // ping-pong write traffic have an entry; absent means implicit-invalidate. std::map so the
   // sync-point decision pass iterates deterministically.
   struct AdaptState {
     Pcp mode = Pcp::kImplicitInvalidate;
-    uint32_t traffic = 0;  // this epoch's write faults taken + write copies/transfers served
+    uint32_t traffic = 0;  // this epoch's write faults, diff copies and transfers served, merges
     uint32_t calm = 0;     // consecutive epochs with zero traffic while in diff mode
   };
   std::map<PageId, AdaptState> adapt_;

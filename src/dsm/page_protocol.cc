@@ -1,9 +1,6 @@
-// Strategy implementations for the four page-consistency protocols (the policy half of DsmNode).
-//
-// The single-writer protocols (migratory, write-invalidate, implicit-invalidate) are verbatim
-// extractions of the pre-seam fault/serve/sync branches — their message schedules and wire bytes
-// are unchanged, which the bench/baselines/jacobi_gate.json schedule-invariance gate pins. The
-// diff protocol is new; DESIGN.md §10 describes it.
+// The diff engine (kDiff): twins, run-length-encoded merges, flush sets and gated merges. The
+// single-writer protocols have no code of their own; DsmNode answers their two per-protocol
+// questions from its fact table. DESIGN.md §10 describes the protocol.
 #include "src/dsm/page_protocol.h"
 
 #include <string>
@@ -12,94 +9,10 @@
 
 #include "src/common/check.h"
 #include "src/dsm/coherence_oracle.h"
+#include "src/dsm/dsm_node.h"
 #include "src/net/packet.h"
 
 namespace dfil::dsm {
-namespace {
-
-uint64_t Bit(NodeId n) { return uint64_t{1} << n; }
-
-}  // namespace
-
-PageEntry& PageProtocol::entry(PageId page) { return node_.table_[page]; }
-
-FaultResult PageProtocol::StartDemandFetch(PageId page, AccessMode mode) {
-  PageEntry& e = entry(page);
-  node_.BeginFetch(page, mode);
-  // Allocate the causal trace id for this fetch; the request, every chase hop, the owner's serve,
-  // and the final install all carry it.
-  e.trace_id = node_.host_->tracer().NewTraceId();
-  TraceContext trace_ctx(&node_.host_->tracer(), e.trace_id);
-  node_.SendPageRequest(page, mode, e.probable_owner);
-  return FaultResult::kStarted;
-}
-
-std::optional<net::Payload> PageProtocol::OnRemoteRequest(NodeId src, PageId page, AccessMode mode,
-                                                          uint32_t fault_seq) {
-  if (!TransfersOwnership(mode)) {
-    return node_.ServeReadCopy(src, page, /*extra_flags=*/0);
-  }
-  return node_.ServeTransfer(src, page, fault_seq);
-}
-
-// --- Write-invalidate --------------------------------------------------------------------------
-
-FaultResult WriteInvalidateProtocol::OnWriteFault(PageId page) {
-  const PageEntry& e = entry(page);
-  if (e.owner && e.state == PageState::kReadOnly) {
-    node_.StartOwnerUpgrade(page);
-    return FaultResult::kStarted;
-  }
-  return StartDemandFetch(page, AccessMode::kWrite);
-}
-
-bool WriteInvalidateProtocol::OnOwnershipInstall(PageId page, uint64_t copyset) {
-  // Invalidate every other read copy before the write proceeds.
-  node_.StartInvalidations(page, copyset & ~Bit(node_.self_));
-  return true;
-}
-
-// --- Implicit-invalidate -----------------------------------------------------------------------
-
-void ImplicitInvalidateProtocol::OnSyncPoint() {
-  // Implicit invalidation: read-only copies have a very short lifetime — they die, without any
-  // message traffic, at every synchronization point (paper §3).
-  for (PageEntry& e : node_.table_) {
-    if (!e.owner && e.state == PageState::kReadOnly && !e.fetching) {
-      e.state = PageState::kInvalid;
-      node_.stats_.implicit_invalidations++;
-      node_.NotePageDiscarded(e);
-    }
-  }
-}
-
-// --- Diff (multiple-writer) --------------------------------------------------------------------
-
-FaultResult DiffProtocol::OnReadFault(PageId page) {
-  if (MaybeBulkRefetch(page)) {
-    return FaultResult::kStarted;
-  }
-  return StartDemandFetch(page, AccessMode::kRead);
-}
-
-FaultResult DiffProtocol::OnWriteFault(PageId page) {
-  const PageEntry& e = entry(page);
-  if (!e.owner && e.state == PageState::kReadOnly && e.diff_copy) {
-    // First write to a diff-tagged read copy: twin it and promote in place — no messages at all.
-    // The `diff_copy` tag (set from the serving owner's reply flag) is required, not just the
-    // local adapter mode: a stale local mode must never twin a plain implicit-invalidate copy.
-    TwinInPlace(page);
-    return FaultResult::kSatisfied;
-  }
-  if (MaybeBulkRefetch(page)) {
-    // The bulk reply installs diff-tagged read copies; the woken writer re-faults and twins the
-    // page in place (the branch above), so the write still never transfers ownership.
-    return FaultResult::kStarted;
-  }
-  // No usable copy: demand-fetch one from the home. A diff-mode home answers with a
-  // kReplyFlagDiff copy and OnPageReply routes write faults into InstallWritableCopy.
-  return StartDemandFetch(page, AccessMode::kWrite);
-}
 
 bool DiffProtocol::MaybeBulkRefetch(PageId page) {
   if (!node_.sync_batch_ || last_flush_sets_.empty()) {
@@ -130,19 +43,8 @@ bool DiffProtocol::MaybeBulkRefetch(PageId page) {
   return false;
 }
 
-std::optional<net::Payload> DiffProtocol::OnRemoteRequest(NodeId src, PageId page, AccessMode mode,
-                                                          uint32_t fault_seq) {
-  (void)fault_seq;  // ownership never transfers, so the grant machinery is never engaged
-  if (node_.config_.adapt_protocols && mode == AccessMode::kWrite) {
-    // Served write copies keep the group hot — and thereby pinned to this owner: a group with
-    // live diff writers can never go calm and flip back to implicit-invalidate mid-use.
-    node_.NoteAdaptTraffic(page);
-  }
-  return node_.ServeReadCopy(src, page, kReplyFlagDiff);
-}
-
 void DiffProtocol::TwinInPlace(PageId page) {
-  PageEntry& e = entry(page);
+  PageEntry& e = node_.table_[page];
   const size_t ps = node_.layout_->page_size();
   const std::byte* cur = node_.PageBytes(page);
   twins_[page].assign(cur, cur + ps);
@@ -168,20 +70,9 @@ void DiffProtocol::InstallWritableCopy(PageId page) {
   node_.FinishFetch(page, PageState::kReadWrite, /*ownership=*/false, /*diff_copy=*/true);
 }
 
-void DiffProtocol::OnSyncPoint() {
+void DiffProtocol::FlushAtSyncPoint() {
   ++flush_epoch_;
   FlushTwins();
-  // Clean (never-written) read copies die silently, exactly like implicit-invalidate copies.
-  // This covers untagged copies too (bulk/prefetch installs carry no diff tag): any copy that
-  // survived a sync point could hold bytes from before other writers' merges landed at the home.
-  for (PageEntry& e : node_.table_) {
-    if (!e.owner && e.state == PageState::kReadOnly && !e.fetching) {
-      e.state = PageState::kInvalid;
-      e.diff_copy = false;
-      node_.stats_.implicit_invalidations++;
-      node_.NotePageDiscarded(e);
-    }
-  }
 }
 
 void DiffProtocol::FlushTwins() {
@@ -264,6 +155,7 @@ void DiffProtocol::FlushTwins() {
       DFIL_CHECK_EQ(gated_merge_req_, uint64_t{0})
           << "gated merge of epoch " << gated_merge_epoch_ << " still pending";
       gated_merge_epoch_ = epoch;
+      gated_merge_flow_ = m.flow;
       gated_merge_req_ = node_.packet_->SendRequest(m.home, net::Service::kDiffMergeGated,
                                                     std::move(m.payload), /*on_reply=*/nullptr,
                                                     TimeCategory::kDataTransfer);
@@ -314,9 +206,9 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
   bool applied_any = false;
   for (uint16_t i = 0; i < h.npages; ++i) {
     const auto ph = body.Get<net::DiffPageHeader>();
-    // Ownership is pinned while diff copies exist (see OnRemoteRequest), so merges always find
-    // their home; a page we no longer own can only appear in pathological injected schedules,
-    // and its runs are consumed without touching the frame.
+    // Every diff copy this home serves and every merge it applies counts as adapter traffic, so
+    // the group cannot flip back (and ownership cannot move) while a copy is live: a merge always
+    // finds its home. Landing anywhere else would lose the runs, which the oracle flags.
     const bool own = node_.table_[ph.page].owner;
     std::byte* frame = node_.PageBytes(ph.page);
     std::vector<net::DiffRun> runs;
@@ -327,7 +219,7 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
       runs.push_back(run);
     }
     if (!own) {
-      node_.stats_.diff_stale_merges_ignored++;
+      DFIL_ORACLE(node_.oracle_, OnMergeAtNonOwner(node_.self_, src, ph.page, h.epoch));
       continue;
     }
     node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_apply_page);
@@ -347,9 +239,12 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
 void DiffProtocol::OnBarrierDone() {
   if (gated_merge_req_ != 0) {
     // The done broadcast proves the parent applied (or durably recorded) our gated merge; stop
-    // retransmitting it.
+    // retransmitting it. The done stands in for the ack, so it also ends the merge's flow arc.
     node_.packet_->CancelRequest(gated_merge_req_);
     gated_merge_req_ = 0;
+    if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
+      tr->Flow(kFlowEnd, "dsm", "diff e" + std::to_string(gated_merge_epoch_), gated_merge_flow_);
+    }
   }
 }
 

@@ -1,10 +1,12 @@
 // ClusterConfig::Digest(): each schedule-affecting field, perturbed alone, moves the digest; the
-// instrumentation-only fields do not.
+// instrumentation-only fields do not. ClusterConfig::Validate: the DSM adaptation precondition
+// (the balancer's rows live in loadbalance_test.cc).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -86,6 +88,24 @@ TEST(ConfigDigestTest, InstrumentationFieldsLeaveTheDigestUnchanged) {
     ClusterConfig c = Base();
     perturb(c);
     EXPECT_EQ(c.Digest(), Base().Digest()) << name;
+  }
+}
+
+// The adapter switches groups between implicit-invalidate and diff, so it needs implicit-
+// invalidate as the base protocol. Validate names the contradiction instead of a mid-run abort.
+TEST(ConfigValidateTest, AdaptationRequiresImplicitInvalidate) {
+  for (const dsm::Pcp pcp : {dsm::Pcp::kMigratory, dsm::Pcp::kWriteInvalidate,
+                             dsm::Pcp::kImplicitInvalidate, dsm::Pcp::kDiff}) {
+    ClusterConfig c;
+    c.dsm.pcp = pcp;
+    c.dsm.adapt_protocols = true;
+    const std::vector<std::string> errors = c.Validate();
+    if (pcp == dsm::Pcp::kImplicitInvalidate) {
+      EXPECT_TRUE(errors.empty()) << errors.front();
+    } else {
+      ASSERT_EQ(errors.size(), 1u) << dsm::PcpName(pcp);
+      EXPECT_NE(errors.front().find("dsm.adapt_protocols"), std::string::npos) << errors.front();
+    }
   }
 }
 

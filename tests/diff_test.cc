@@ -359,8 +359,12 @@ CliResult RunCli(std::vector<std::string> args) {
   return r;
 }
 
+// The file name carries the test's name: ctest runs every test in its own process, in parallel,
+// so a name shared between tests lets one rewrite another's input while it is being read.
 std::string WriteTemp(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + "/dfil_cli_" + name;
+  const std::string path = ::testing::TempDir() + "/dfil_cli_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           "_" + name;
   std::ofstream(path) << text;
   return path;
 }

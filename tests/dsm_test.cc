@@ -316,7 +316,7 @@ TEST(DsmPrefetchTest, ExplicitPrefetchCoalescesRequestsIntoOneBulk) {
     }
     env.Barrier();
     if (env.node() == 1) {
-      env.runtime().dsm().Prefetch(first, 8, AccessMode::kRead);
+      env.runtime().dsm().Prefetch(first, 8);
       for (int p = 0; p < 8; ++p) {
         EXPECT_EQ(env.Read<uint64_t>(blob + p * ps), 100u + p);
       }
@@ -384,7 +384,7 @@ TEST(DsmPrefetchTest, BulkMissesAreRefaultedThroughOwnerForwarding) {
     }
     env.Barrier();
     if (env.node() == 1) {
-      env.runtime().dsm().Prefetch(first, 8, AccessMode::kRead);
+      env.runtime().dsm().Prefetch(first, 8);
       EXPECT_EQ(env.Read<uint64_t>(blob + 2 * ps), 202u);
       EXPECT_EQ(env.Read<uint64_t>(blob + 3 * ps), 203u);
       for (int p : {0, 1, 4, 5, 6, 7}) {
@@ -415,7 +415,7 @@ TEST(DsmPrefetchTest, MigratoryProtocolNeverUsesBulkTransfers) {
     }
     env.Barrier();
     if (env.node() == 1) {
-      env.runtime().dsm().Prefetch(first, 8, AccessMode::kRead);  // must be a no-op
+      env.runtime().dsm().Prefetch(first, 8);  // must be a no-op
       uint64_t sum = 0;
       for (int p = 0; p < 8; ++p) {
         sum += env.Read<uint64_t>(blob + p * ps);
@@ -447,7 +447,7 @@ TEST(DsmPrefetchTest, LostBulkRepliesAreRebuiltFromCurrentState) {
     }
     env.Barrier();
     if (env.node() == 1) {
-      env.runtime().dsm().Prefetch(first, 16, AccessMode::kRead);
+      env.runtime().dsm().Prefetch(first, 16);
       for (int p = 0; p < 16; ++p) {
         EXPECT_EQ(env.Read<uint64_t>(blob + p * ps), 100u + p);
       }

@@ -158,14 +158,29 @@ TEST(FuzzPinnedRegressionTest, RetransmittedSyncRequestIsAcknowledged) {
 // Under the elide-every-serve schedule this case's output diverged: the owner of page 5 adapted
 // its group from diff back to implicit-invalidate while node 1 still held a written diff copy,
 // node 3 (running a pool the balancer had just migrated from the owner) write-faulted the page
-// and took ownership, and node 1's merge then reached the former owner, which discards runs for a
-// page it no longer owns (DiffProtocol::ServeMerge). Acknowledging retransmissions changes the
-// schedule so the race does not form here; the lost-merge window itself is still open.
+// and took ownership, and node 1's merge then reached the former owner, which could not apply
+// runs for a page it no longer owned. Acknowledging retransmissions changed the schedule so the
+// race no longer forms here; DiffCopyOutlivingItsFlipLosesNoMerge pins the window itself.
 TEST(FuzzPinnedRegressionTest, MixedCoalescedBalancedJacobiMatchesSequential) {
   const FuzzResult r = RunFuzzCase("mixed", 4887, {});
   EXPECT_TRUE(r.ok()) << r.Summary();
   EXPECT_NE(r.config_desc.find("coalesce"), std::string::npos) << r.Summary();
   EXPECT_NE(r.config_desc.find("balance"), std::string::npos) << r.Summary();
+}
+
+// Found by the calm draw (adapt_calm_epochs 1). Node 1, home of page 1 under diff, served
+// diff-tagged read copies to nodes 2 and 3 through their flush-set bulk re-fetch (coalescing's
+// sync-batch mode), which did not count as adapter traffic. Node 2 twinned its copy in place and
+// wrote; node 1 saw a quiet epoch and flipped the group back to implicit-invalidate; node 3's
+// write fault took ownership; node 2's merge then reached node 1, a non-owner, and its writes
+// were lost (the output diverged). Every diff copy served now counts as traffic, so the group
+// stays pinned until the merge has landed; the oracle flags any merge at a non-owner.
+TEST(FuzzPinnedRegressionTest, DiffCopyOutlivingItsFlipLosesNoMerge) {
+  const FuzzResult r = RunFuzzCase("uniform-loss", 1011, {});
+  EXPECT_TRUE(r.ok()) << r.Summary();
+  EXPECT_NE(r.config_desc.find("adapt calm=1"), std::string::npos) << r.Summary();
+  EXPECT_GT(r.dsm.adapter_switches_to_diff, 0u) << r.Summary();
+  EXPECT_GT(r.dsm.diff_merges_applied, 0u) << r.Summary();
 }
 
 // --- Directed adversarial runs (duplication / reordering defenses) ---------------------------

@@ -1,6 +1,7 @@
-// Tests for the PageProtocol seam: the multiple-writer diff protocol (twin on write, RLE diffs
-// merged at the home node at sync points), the per-page-group adapter that flips groups between
-// implicit-invalidate and diff, and the padding-allocator / page-group APIs the seam builds on.
+// Tests for the diff engine and the protocol switching around it: the multiple-writer diff
+// protocol (twin on write, RLE diffs merged at the home node at sync points), the oracle's diff
+// checks, the per-page-group adapter that flips groups between implicit-invalidate and diff, and
+// the padding-allocator / page-group APIs the diff protocol builds on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -171,6 +172,36 @@ TEST(DiffOracleTest, DisjointSameEpochWritersAreClean) {
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+}
+
+// A merge is addressed to the page's home; one that reaches a node no longer owning the page has
+// no frame to land in, so its writes are lost. The adapter's flip-back rule makes that
+// unreachable, which is why the oracle names it a violation rather than letting the runs vanish.
+// The merge is injected by hand here: the owner sends the other node an epoch-1 diff of its page.
+TEST(DiffOracleTest, MergeAtNonOwnerIsFlagged) {
+  ClusterConfig cfg = Config(2, Pcp::kDiff);
+  CoherenceOracle oracle;
+  cfg.coherence_oracle = &oracle;
+  Cluster cluster(cfg);
+  auto x = GlobalRef<int64_t>::Alloc(cluster.layout(), "x");
+  const PageId page = cluster.layout().PageOf(x.addr());
+  net::WireWriter w;
+  w.Put(net::DiffMergeHeader{1, 1});
+  w.Put(net::DiffPageHeader{page, 1});
+  w.Put(net::DiffRun{0, sizeof(int32_t)});
+  w.Put(int32_t{42});
+  const net::Payload merge = w.Take();
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    if (env.node() == cluster.layout().InitialOwner(page)) {
+      env.runtime().packet().SendRequest(1 - env.node(), net::Service::kDiffMerge, merge,
+                                         [](net::Payload) {});
+    }
+    env.Barrier();
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  ASSERT_FALSE(oracle.violations().empty()) << "a merge at a non-owner must be flagged";
+  EXPECT_NE(oracle.violations().front().find("merge at non-owner"), std::string::npos)
+      << oracle.violations().front();
 }
 
 // --- Per-page-group adapter ------------------------------------------------------------------
